@@ -1,76 +1,209 @@
-// Micro-benchmarks (google-benchmark) of the two Section 3.1
-// candidate-generation algorithms over the same signature matrix —
-// the row-sort vs hash-count ablation from DESIGN.md — plus the
-// banded LSH bucketing for scale.
+// Benchmark of phase 2 (candidate generation). Times, on in-memory
+// sketches:
+//  * the two Section 3.1 algorithms over one min-hash signature matrix
+//    (row-sort vs hash-count, the DESIGN.md ablation) at three
+//    agreement thresholds, asserting they return the same pairs and
+//    counts;
+//  * banded Min-LSH bucketing over the same matrix, for scale;
+//  * adaptive K-MH hash-count (k=100, the K-MH miner's fraction 0.25
+//    at s*=0.5) on a Zipf news table at 1 and 2 threads, asserting
+//    the two outputs are identical.
+//
+// Emits BENCH_candgen.json (see bench_common.h). Each time is the best
+// of 3 runs. --smoke shrinks both tables and runs once, keeping every
+// identity check, so sanitizer jobs can run it cheaply. The 2-thread
+// speedup needs real cores; on a 1-hardware-thread host it is emitted
+// as null.
 
-#include <benchmark/benchmark.h>
+#include <algorithm>
+#include <cstdio>
+#include <cstring>
+#include <string>
+#include <thread>
+#include <utility>
+#include <vector>
 
+#include "bench_common.h"
 #include "candgen/hash_count.h"
 #include "candgen/min_lsh.h"
 #include "candgen/row_sort.h"
+#include "data/news_generator.h"
 #include "data/synthetic_generator.h"
 #include "matrix/row_stream.h"
+#include "sketch/k_min_hash.h"
 #include "sketch/min_hash.h"
+#include "util/thread_pool.h"
+#include "util/timer.h"
 
 namespace sans {
 namespace {
 
-const SignatureMatrix& BenchSignatures() {
-  static const SignatureMatrix* signatures = [] {
-    SyntheticConfig config;
-    config.num_rows = 20'000;
-    config.num_cols = 2'000;
-    config.bands = {{20, 50.0, 95.0}};
-    config.min_density = 0.005;
-    config.max_density = 0.02;
-    config.seed = 11;
-    auto dataset = GenerateSynthetic(config);
-    SANS_CHECK(dataset.ok());
-    MinHashConfig mh;
-    mh.num_hashes = 60;
-    mh.seed = 13;
-    MinHashGenerator generator(mh);
-    InMemoryRowStream stream(&dataset->matrix);
-    auto sig = generator.Compute(&stream);
-    SANS_CHECK(sig.ok());
-    return new SignatureMatrix(std::move(sig).value());
-  }();
-  return *signatures;
+/// Best-of-N wall time of `fn` (first call's result is returned).
+template <typename Fn>
+auto TimeBestOf(int repetitions, double* best_seconds, Fn&& fn) {
+  Stopwatch watch;
+  auto result = fn();
+  *best_seconds = watch.ElapsedSeconds();
+  for (int i = 1; i < repetitions; ++i) {
+    Stopwatch again;
+    auto repeat = fn();
+    *best_seconds = std::min(*best_seconds, again.ElapsedSeconds());
+    (void)repeat;
+  }
+  return result;
 }
 
-void BM_RowSortCandidates(benchmark::State& state) {
-  const int min_agreements = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    RowSorter sorter(&BenchSignatures());
-    auto candidates = sorter.Candidates(min_agreements);
-    benchmark::DoNotOptimize(candidates);
-  }
+SignatureMatrix SyntheticSignatures(bool smoke, RowId* num_rows) {
+  SyntheticConfig config;
+  config.num_rows = smoke ? 2'000 : 20'000;
+  config.num_cols = 2'000;
+  config.bands = {{20, 50.0, 95.0}};
+  config.min_density = 0.005;
+  config.max_density = 0.02;
+  config.seed = 11;
+  auto dataset = GenerateSynthetic(config);
+  SANS_CHECK(dataset.ok());
+  *num_rows = dataset->matrix.num_rows();
+  MinHashConfig mh;
+  mh.num_hashes = 60;
+  mh.seed = 13;
+  MinHashGenerator generator(mh);
+  InMemoryRowStream stream(&dataset->matrix);
+  auto signatures = generator.Compute(&stream);
+  SANS_CHECK(signatures.ok());
+  return std::move(signatures).value();
 }
-BENCHMARK(BM_RowSortCandidates)->Arg(6)->Arg(15)->Arg(30);
 
-void BM_HashCountCandidates(benchmark::State& state) {
-  const int min_agreements = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    auto candidates = HashCountMinHash(BenchSignatures(), min_agreements);
-    benchmark::DoNotOptimize(candidates);
-  }
+KMinHashSketch NewsSketch(bool smoke, RowId* num_rows) {
+  NewsConfig config;
+  config.num_docs = smoke ? 3'000 : 30'000;
+  config.vocab_size = smoke ? 800 : 4'000;
+  config.seed = 1;
+  auto dataset = GenerateNews(config);
+  SANS_CHECK(dataset.ok());
+  *num_rows = dataset->matrix.num_rows();
+  KMinHashConfig kmh;
+  kmh.k = 100;
+  kmh.seed = 1;
+  KMinHashGenerator generator(kmh);
+  InMemoryRowStream stream(&dataset->matrix);
+  auto sketch = generator.Compute(&stream);
+  SANS_CHECK(sketch.ok());
+  return std::move(sketch).value();
 }
-BENCHMARK(BM_HashCountCandidates)->Arg(6)->Arg(15)->Arg(30);
 
-void BM_MinLshBucketing(benchmark::State& state) {
-  const int r = static_cast<int>(state.range(0));
-  MinLshConfig config;
-  config.rows_per_band = r;
-  config.num_bands = 60 / r;
-  for (auto _ : state) {
-    MinLshCandidateGenerator generator(config);
-    auto candidates = generator.Generate(BenchSignatures());
-    benchmark::DoNotOptimize(candidates);
+int Main(int argc, char** argv) {
+  bool smoke = false;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
   }
+  const int repetitions = smoke ? 1 : 3;
+  const unsigned hardware_threads = std::thread::hardware_concurrency();
+  const bool can_measure_speedup = hardware_threads > 1;
+
+  std::vector<bench::BenchPhaseResult> results;
+  const auto emit = [&](const std::string& phase, int threads, double rows,
+                        double seconds) {
+    bench::BenchPhaseResult r;
+    r.phase = phase;
+    r.threads = threads;
+    r.seconds = seconds;
+    r.rows_per_sec = seconds > 0 ? rows / seconds : 0.0;
+    r.has_speedup = false;
+    results.push_back(r);
+    return &results.back();
+  };
+
+  // Row-sort vs hash-count vs Min-LSH on one signature matrix.
+  RowId synthetic_rows = 0;
+  const SignatureMatrix signatures =
+      SyntheticSignatures(smoke, &synthetic_rows);
+  std::fprintf(stderr, "[bench] min-hash signatures: k=%d, %u columns\n",
+               signatures.num_hashes(), signatures.num_cols());
+  for (int min_agreements : {6, 15, 30}) {
+    const std::string suffix = "_a" + std::to_string(min_agreements);
+    double sort_seconds = 0.0;
+    const CandidateSet via_sort = TimeBestOf(repetitions, &sort_seconds, [&] {
+      return RowSorter(&signatures).Candidates(min_agreements);
+    });
+    double count_seconds = 0.0;
+    const CandidateSet via_count = TimeBestOf(
+        repetitions, &count_seconds,
+        [&] { return HashCountMinHash(signatures, min_agreements); });
+    SANS_CHECK(via_sort.SortedEntries() == via_count.SortedEntries());
+    emit("rowsort" + suffix, 1, synthetic_rows, sort_seconds);
+    emit("hashcount_mh" + suffix, 1, synthetic_rows, count_seconds);
+    std::fprintf(stderr,
+                 "[bench] a=%d: row-sort %.4fs, hash-count %.4fs, %zu "
+                 "candidates, outputs identical\n",
+                 min_agreements, sort_seconds, count_seconds,
+                 via_count.size());
+  }
+  for (int r : {4, 6, 10}) {
+    MinLshConfig config;
+    config.rows_per_band = r;
+    config.num_bands = signatures.num_hashes() / r;
+    double seconds = 0.0;
+    TimeBestOf(repetitions, &seconds, [&] {
+      auto candidates = MinLshCandidateGenerator(config).Generate(signatures);
+      SANS_CHECK(candidates.ok());
+      return std::move(candidates).value();
+    });
+    emit("minlsh_r" + std::to_string(r), 1, synthetic_rows, seconds);
+  }
+
+  // Adaptive K-MH hash-count on a Zipf table, 1 vs 2 threads.
+  RowId news_rows = 0;
+  const KMinHashSketch sketch = NewsSketch(smoke, &news_rows);
+  constexpr double kFraction = 0.25;
+  double one_thread_seconds = 0.0;
+  const CandidateSet one_thread =
+      TimeBestOf(repetitions, &one_thread_seconds, [&] {
+        return HashCountKMinHashAdaptive(sketch, kFraction);
+      });
+  ThreadPool pool(2);
+  double two_thread_seconds = 0.0;
+  const CandidateSet two_threads =
+      TimeBestOf(repetitions, &two_thread_seconds, [&] {
+        auto candidates =
+            HashCountKMinHashAdaptiveParallel(sketch, kFraction, &pool);
+        SANS_CHECK(candidates.ok());
+        return std::move(candidates).value();
+      });
+  SANS_CHECK(one_thread.SortedEntries() == two_threads.SortedEntries());
+  for (auto [threads, seconds] :
+       {std::pair{1, one_thread_seconds}, std::pair{2, two_thread_seconds}}) {
+    bench::BenchPhaseResult* r = emit("hashcount_kmh", threads, news_rows,
+                                      seconds);
+    r->has_speedup = can_measure_speedup;
+    r->speedup_vs_1_thread = seconds > 0 ? one_thread_seconds / seconds : 0.0;
+  }
+  std::fprintf(stderr,
+               "[bench] kmh k=%d on %u x %u news: 1 thread %.4fs, 2 threads "
+               "%.4fs, %zu candidates, outputs identical\n",
+               sketch.k(), news_rows, sketch.num_cols(), one_thread_seconds,
+               two_thread_seconds, two_threads.size());
+
+  bench::WriteBenchJson(
+      "BENCH_candgen.json", "candgen",
+      {{"mh_cols", bench::JsonNumber(signatures.num_cols())},
+       {"news_rows", bench::JsonNumber(news_rows)},
+       {"news_cols", bench::JsonNumber(sketch.num_cols())},
+       {"hardware_threads", bench::JsonNumber(hardware_threads)},
+       {"scale", smoke ? "\"smoke\"" : "\"full\""}},
+      results);
+
+  std::printf("\n%-18s %8s %10s %14s\n", "phase", "threads", "seconds",
+              "rows/sec");
+  for (const bench::BenchPhaseResult& r : results) {
+    std::printf("%-18s %8d %10.4f %14.0f\n", r.phase.c_str(), r.threads,
+                r.seconds, r.rows_per_sec);
+  }
+  std::printf("\nwrote BENCH_candgen.json\n");
+  return 0;
 }
-BENCHMARK(BM_MinLshBucketing)->Arg(4)->Arg(6)->Arg(10);
 
 }  // namespace
 }  // namespace sans
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) { return sans::Main(argc, argv); }

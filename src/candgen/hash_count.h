@@ -11,21 +11,27 @@
 //    the number of rows on which the columns agree (same quantity
 //    row-sorting computes).
 //
-// All variants share one probe/count/flush engine (see hash_count.cc)
-// with a uniform empty-column rule: a column that contributes no
-// bucket keys — an empty K-MH signature, or an all-sentinel min-hash
-// column — is skipped entirely and never becomes a candidate. (Without
-// the min-hash skip, two empty columns would "agree" on the sentinel
-// in every row of M̂.)
+// All variants, sequential and parallel, run one engine (see
+// hash_count.cc):
+//  1. Flat bucket index. Every signature key (table, value, column) is
+//     written to one flat array and sorted into contiguous runs of
+//     equal (table, value); each column's key slots remember where
+//     they landed. A run's prefix before column i's entry is exactly
+//     the bucket of earlier columns that the paper's sweep probes.
+//  2. Column-partitioned probing. The columns are split into fixed
+//     chunks of kHashCountChunkCols. For each column i of a chunk, a
+//     worker walks the run prefixes of i's slots into a touched-counter
+//     array. One worker sees all of column i's collisions, so every
+//     pair's count is exact where it is produced and the variant's
+//     threshold is applied right there. Chunk outputs are concatenated
+//     in chunk order, so the result does not depend on the thread
+//     count.
 //
-// The ...Parallel variants shard the bucket space by
-// Mix64(value) % num_shards: each shard builds and probes its own
-// bucket tables over its slice of the key space, produces raw
-// per-pair collision counts, and the shards' CandidateSets are merged
-// by summation — every (value, table) key lands in exactly one shard,
-// so the summed counts equal the sequential counts and the threshold
-// is applied after the merge. Output is identical to the sequential
-// variant for any shard count.
+// Uniform empty-column rule: a column that contributes no bucket keys
+// — an empty K-MH signature, or an all-sentinel min-hash column — is
+// skipped entirely and never becomes a candidate. (Without the
+// min-hash skip, two empty columns would "agree" on the sentinel in
+// every row of M̂.)
 
 #ifndef SANS_CANDGEN_HASH_COUNT_H_
 #define SANS_CANDGEN_HASH_COUNT_H_
@@ -39,6 +45,11 @@
 #include "util/thread_pool.h"
 
 namespace sans {
+
+/// Columns per probe chunk: the unit of work one worker takes. A
+/// constant of the engine, not a tuning knob; outputs do not depend
+/// on it.
+inline constexpr ColumnId kHashCountChunkCols = 256;
 
 /// Pairs with |SIG_i ∩ SIG_j| >= min_intersection, evidence = the
 /// intersection size. min_intersection must be >= 1.
@@ -62,10 +73,10 @@ CandidateSet HashCountKMinHashAdaptive(const KMinHashSketch& sketch,
 CandidateSet HashCountMinHash(const SignatureMatrix& signatures,
                               int min_agreements);
 
-/// Sharded variants: one shard per pool thread, each building its own
-/// bucket tables over Mix64(value) % num_shards == shard. A null pool
-/// (or a single-thread pool) falls back to the sequential variant.
-/// Output is identical to the sequential variant.
+/// Parallel variants: the chunks of probing columns are spread over
+/// `pool` with ParallelFor; a null pool probes them inline on the
+/// calling thread, which is exactly the sequential variant. Output is
+/// identical for any pool.
 Result<CandidateSet> HashCountKMinHashParallel(const KMinHashSketch& sketch,
                                                uint64_t min_intersection,
                                                ThreadPool* pool);

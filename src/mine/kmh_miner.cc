@@ -1,7 +1,5 @@
 #include "mine/kmh_miner.h"
 
-#include <algorithm>
-
 #include "candgen/candidate_set.h"
 #include "candgen/hash_count.h"
 #include "mine/parallel.h"
@@ -20,6 +18,19 @@ Status KmhMinerConfig::Validate() const {
   }
   SANS_RETURN_IF_ERROR(execution.Validate());
   return Status::OK();
+}
+
+std::vector<SimilarPair> PruneByUnbiasedEstimate(
+    const KMinHashSketch& sketch, const CandidateSet& candidates,
+    double floor) {
+  std::vector<SimilarPair> survivors;
+  for (const ColumnPair& pair : candidates.SortedPairs()) {
+    const double estimate = EstimateSimilarityUnbiased(
+        sketch.Signature(pair.first), sketch.Signature(pair.second),
+        sketch.k());
+    if (estimate >= floor) survivors.push_back(SimilarPair{pair, estimate});
+  }
+  return survivors;
 }
 
 KmhMiner::KmhMiner(const KmhMinerConfig& config) : config_(config) {
@@ -55,17 +66,14 @@ Result<MiningReport> KmhMiner::Mine(const RowStreamSource& source,
         const CandidateSet candidates,
         HashCountKMinHashAdaptiveParallel(
             sketch, config_.hash_count_slack * threshold, pool.get()));
-    const double prune_floor = (1.0 - config_.delta) * threshold;
-    for (const auto& [pair, count] : candidates) {
-      if (config_.unbiased_pruning) {
-        const double estimate = EstimateSimilarityUnbiased(
-            sketch.Signature(pair.first), sketch.Signature(pair.second),
-            config_.sketch.k);
-        if (estimate < prune_floor) continue;
+    if (config_.unbiased_pruning) {
+      for (const SimilarPair& survivor : PruneByUnbiasedEstimate(
+               sketch, candidates, (1.0 - config_.delta) * threshold)) {
+        survivors.push_back(survivor.pair);
       }
-      survivors.push_back(pair);
+    } else {
+      survivors = candidates.SortedPairs();
     }
-    std::sort(survivors.begin(), survivors.end());
   }
   report.candidates = survivors;
   report.num_candidates = survivors.size();

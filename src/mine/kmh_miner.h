@@ -8,6 +8,10 @@
 #ifndef SANS_MINE_KMH_MINER_H_
 #define SANS_MINE_KMH_MINER_H_
 
+#include <vector>
+
+#include "candgen/candidate_set.h"
+#include "core/types.h"
 #include "mine/miner.h"
 #include "sketch/k_min_hash.h"
 #include "util/status.h"
@@ -34,6 +38,13 @@ struct KmhMinerConfig {
 
   Status Validate() const;
 };
+
+/// Phase 2b, the unbiased Theorem-2 pruning: the Hash-Count
+/// `candidates` whose unbiased estimate over `sketch` reaches `floor`,
+/// each with that estimate, in ascending pair order.
+std::vector<SimilarPair> PruneByUnbiasedEstimate(
+    const KMinHashSketch& sketch, const CandidateSet& candidates,
+    double floor);
 
 /// Three-phase K-Min-Hash miner.
 class KmhMiner final : public Miner {

@@ -18,7 +18,6 @@
 #include "mine/verifier.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "sketch/estimators.h"
 #include "sketch/sketch_io.h"
 #include "util/crc32c.h"
 
@@ -487,20 +486,18 @@ Result<PipelineRunSummary> PipelineRunner::Run(
         }
         case PipelineAlgorithm::kKmh: {
           SANS_ASSIGN_OR_RETURN(
-              const CandidateSet filtered,
+              candidates,
               HashCountKMinHashAdaptiveParallel(
                   *sketch, config_.kmh.hash_count_slack * config_.threshold,
                   pool.get()));
-          const double prune_floor =
-              (1.0 - config_.kmh.delta) * config_.threshold;
-          for (const auto& [pair, count] : filtered) {
-            if (config_.kmh.unbiased_pruning) {
-              const double estimate = EstimateSimilarityUnbiased(
-                  sketch->Signature(pair.first),
-                  sketch->Signature(pair.second), config_.kmh.sketch.k);
-              if (estimate < prune_floor) continue;
+          if (config_.kmh.unbiased_pruning) {
+            CandidateSet survivors;
+            for (const SimilarPair& survivor : PruneByUnbiasedEstimate(
+                     *sketch, candidates,
+                     (1.0 - config_.kmh.delta) * config_.threshold)) {
+              survivors.Add(survivor.pair, candidates.Count(survivor.pair));
             }
-            candidates.Add(pair, count);
+            candidates = std::move(survivors);
           }
           break;
         }

@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <unordered_map>
+#include <vector>
+
 #include "candgen/row_sort.h"
+#include "data/news_generator.h"
 #include "data/synthetic_generator.h"
 #include "matrix/row_stream.h"
+#include "obs/metrics.h"
 #include "sketch/estimators.h"
 #include "sketch/min_hash.h"
 
@@ -107,9 +113,10 @@ TEST(HashCountKMinHashTest, EmptySketchYieldsNothing) {
 }
 
 TEST(HashCountParallelTest, ShardedCountsMatchSequential) {
-  // The sharded parallel variants partition bucket values by
-  // hash(value) % num_shards and merge per-shard counts; the merged
-  // result must equal the single-table sequential count exactly.
+  // The parallel variants split the probing columns into chunks spread
+  // over the pool; each pair is counted and thresholded by one worker,
+  // so the result must equal the sequential count exactly. (The name
+  // predates the column-partitioned engine.)
   SyntheticConfig config;
   config.num_rows = 400;
   config.num_cols = 60;
@@ -191,6 +198,213 @@ TEST(HashCountParallelTest, EmptyColumnsSkippedUniformly) {
   auto parallel = HashCountMinHashParallel(sig, 2, &pool);
   ASSERT_TRUE(parallel.ok());
   EXPECT_EQ(parallel->SortedEntries(), sequential.SortedEntries());
+}
+
+SignatureMatrix MinHashOf(const BinaryMatrix& matrix, int num_hashes,
+                          uint64_t seed) {
+  MinHashConfig config;
+  config.num_hashes = num_hashes;
+  config.seed = seed;
+  MinHashGenerator generator(config);
+  InMemoryRowStream stream(&matrix);
+  auto signatures = generator.Compute(&stream);
+  EXPECT_TRUE(signatures.ok());
+  return std::move(signatures).value();
+}
+
+BinaryMatrix SyntheticTable(RowId rows, ColumnId cols, uint64_t seed) {
+  SyntheticConfig config;
+  config.num_rows = rows;
+  config.num_cols = cols;
+  config.bands = {{3, 55.0, 90.0}};
+  config.spread_pairs = false;
+  config.min_density = 0.05;
+  config.max_density = 0.12;
+  config.seed = seed;
+  auto dataset = GenerateSynthetic(config);
+  EXPECT_TRUE(dataset.ok());
+  return std::move(dataset->matrix);
+}
+
+using Entries = std::vector<std::pair<ColumnPair, uint64_t>>;
+
+// Independent K-MH reference: |SIG_i ∩ SIG_j| of every column pair
+// sharing a value, by merge.
+Entries BruteForceIntersections(const KMinHashSketch& sketch) {
+  Entries entries;
+  for (ColumnId i = 0; i < sketch.num_cols(); ++i) {
+    for (ColumnId j = i + 1; j < sketch.num_cols(); ++j) {
+      const uint64_t count = SignatureIntersectionSize(sketch.Signature(i),
+                                                       sketch.Signature(j));
+      if (count > 0) entries.emplace_back(ColumnPair(i, j), count);
+    }
+  }
+  return entries;
+}
+
+template <typename KeepFn>
+Entries Filter(const Entries& entries, const KeepFn& keep) {
+  Entries kept;
+  for (const auto& [pair, count] : entries) {
+    if (keep(pair, count)) kept.emplace_back(pair, count);
+  }
+  return kept;
+}
+
+// Every variant must equal an independent reference (brute-force
+// intersections for K-MH, RowSorter for MH) with a null pool, and
+// reproduce that result entry for entry at every pool size.
+void ExpectEveryPoolMatchesNullPool(const KMinHashSketch& sketch,
+                                    const SignatureMatrix& signatures,
+                                    const std::vector<uint64_t>& intersections,
+                                    const std::vector<double>& fractions,
+                                    const std::vector<int>& agreements) {
+  const Entries intersecting = BruteForceIntersections(sketch);
+  std::vector<Entries> expected;
+  for (uint64_t min_intersection : intersections) {
+    expected.push_back(Filter(intersecting, [&](ColumnPair, uint64_t count) {
+      return count >= min_intersection;
+    }));
+  }
+  for (double fraction : fractions) {
+    expected.push_back(Filter(intersecting, [&](ColumnPair pair,
+                                                uint64_t count) {
+      const size_t larger = std::max(sketch.Signature(pair.first).size(),
+                                     sketch.Signature(pair.second).size());
+      return count >=
+             std::max<uint64_t>(1, static_cast<uint64_t>(fraction * larger));
+    }));
+  }
+  for (int min_agreements : agreements) {
+    expected.push_back(
+        RowSorter(&signatures).Candidates(min_agreements).SortedEntries());
+  }
+  const auto run_all = [&](ThreadPool* pool) {
+    std::vector<Entries> results;
+    for (uint64_t min_intersection : intersections) {
+      auto result = HashCountKMinHashParallel(sketch, min_intersection, pool);
+      EXPECT_TRUE(result.ok());
+      results.push_back(result->SortedEntries());
+    }
+    for (double fraction : fractions) {
+      auto result = HashCountKMinHashAdaptiveParallel(sketch, fraction, pool);
+      EXPECT_TRUE(result.ok());
+      results.push_back(result->SortedEntries());
+    }
+    for (int min_agreements : agreements) {
+      auto result = HashCountMinHashParallel(signatures, min_agreements, pool);
+      EXPECT_TRUE(result.ok());
+      results.push_back(result->SortedEntries());
+    }
+    return results;
+  };
+  const std::vector<Entries> null_pool = run_all(nullptr);
+  ASSERT_EQ(null_pool.size(), expected.size());
+  for (size_t c = 0; c < expected.size(); ++c) {
+    EXPECT_EQ(null_pool[c], expected[c]) << "case " << c;
+  }
+  for (int threads : {1, 2, 3, 8}) {
+    ThreadPool pool(threads);
+    EXPECT_EQ(run_all(&pool), null_pool) << "threads=" << threads;
+  }
+}
+
+TEST(HashCountChunkTest, ZipfHubValueSharedByMostColumns) {
+  // A Zipf news table plus one hub document holding every word: every
+  // column sparser than k keeps the hub's hash in its bottom-k
+  // signature, so one bucket run spans most columns — the skew that
+  // made key-sharded counting blow up.
+  NewsConfig config;
+  config.num_docs = 3'000;
+  config.vocab_size = 1'200;
+  config.seed = 9;
+  auto news = GenerateNews(config);
+  ASSERT_TRUE(news.ok());
+  const BinaryMatrix& base = news->matrix;
+  std::vector<std::vector<ColumnId>> rows;
+  for (RowId r = 0; r < base.num_rows(); ++r) {
+    rows.emplace_back(base.Row(r).begin(), base.Row(r).end());
+  }
+  std::vector<ColumnId> hub(base.num_cols());
+  for (ColumnId c = 0; c < base.num_cols(); ++c) hub[c] = c;
+  rows.push_back(std::move(hub));
+  auto table = BinaryMatrix::FromRows(base.num_rows() + 1, base.num_cols(),
+                                      rows);
+  ASSERT_TRUE(table.ok());
+  const KMinHashSketch sketch = SketchOf(*table, 100, 4);
+
+  std::unordered_map<uint64_t, ColumnId> carriers;
+  ColumnId widest = 0;
+  for (ColumnId c = 0; c < sketch.num_cols(); ++c) {
+    for (uint64_t value : sketch.Signature(c)) {
+      widest = std::max(widest, ++carriers[value]);
+    }
+  }
+  ASSERT_GT(widest, sketch.num_cols() / 2);
+
+  ExpectEveryPoolMatchesNullPool(sketch, MinHashOf(*table, 20, 4),
+                                 {4, 10}, {0.25, 0.5}, {3, 10});
+}
+
+TEST(HashCountChunkTest, ZeroColumns) {
+  const KMinHashSketch sketch(8, 0);
+  const SignatureMatrix signatures(8, 0);
+  ExpectEveryPoolMatchesNullPool(sketch, signatures, {1}, {0.0, 0.5}, {1});
+  EXPECT_TRUE(HashCountKMinHash(sketch, 1).empty());
+  EXPECT_TRUE(HashCountMinHash(signatures, 1).empty());
+}
+
+TEST(HashCountChunkTest, AllColumnsEmpty) {
+  const ColumnId cols = kHashCountChunkCols + 5;
+  const KMinHashSketch sketch = SketchOf(BinaryMatrix(10, cols), 8, 1);
+  const SignatureMatrix signatures(8, cols);
+  ExpectEveryPoolMatchesNullPool(sketch, signatures, {1}, {0.0, 0.5}, {1});
+  EXPECT_TRUE(HashCountKMinHashAdaptive(sketch, 0.0).empty());
+  EXPECT_TRUE(HashCountMinHash(signatures, 1).empty());
+}
+
+TEST(HashCountChunkTest, FewerColumnsThanOneChunk) {
+  const BinaryMatrix table = SyntheticTable(300, 40, 5);
+  ASSERT_LT(table.num_cols(), kHashCountChunkCols);
+  ExpectEveryPoolMatchesNullPool(SketchOf(table, 30, 2),
+                                 MinHashOf(table, 24, 2), {1, 3}, {0.3},
+                                 {1, 6});
+}
+
+TEST(HashCountChunkTest, ColumnsNotAMultipleOfTheChunk) {
+  const BinaryMatrix table =
+      SyntheticTable(300, 2 * kHashCountChunkCols + 37, 6);
+  ASSERT_NE(table.num_cols() % kHashCountChunkCols, 0u);
+  ExpectEveryPoolMatchesNullPool(SketchOf(table, 30, 3),
+                                 MinHashOf(table, 24, 3), {5, 12}, {0.4},
+                                 {6, 12});
+}
+
+TEST(HashCountCounterTest, CandidatesTotalCountsOncePerCall) {
+  Counter* const total =
+      MetricsRegistry::Global().GetCounter("sans_candgen_candidates_total");
+  const BinaryMatrix table = SyntheticTable(300, 60, 7);
+  const KMinHashSketch sketch = SketchOf(table, 30, 5);
+  const SignatureMatrix signatures = MinHashOf(table, 24, 5);
+  ThreadPool three(3);
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &three}) {
+    uint64_t before = total->Value();
+    auto kmh = HashCountKMinHashParallel(sketch, 2, pool);
+    ASSERT_TRUE(kmh.ok());
+    ASSERT_FALSE(kmh->empty());
+    EXPECT_EQ(total->Value() - before, kmh->size());
+
+    before = total->Value();
+    auto adaptive = HashCountKMinHashAdaptiveParallel(sketch, 0.3, pool);
+    ASSERT_TRUE(adaptive.ok());
+    EXPECT_EQ(total->Value() - before, adaptive->size());
+
+    before = total->Value();
+    auto mh = HashCountMinHashParallel(signatures, 4, pool);
+    ASSERT_TRUE(mh.ok());
+    ASSERT_FALSE(mh->empty());
+    EXPECT_EQ(total->Value() - before, mh->size());
+  }
 }
 
 }  // namespace

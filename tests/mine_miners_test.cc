@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
+#include "candgen/hash_count.h"
 #include "data/synthetic_generator.h"
 #include "matrix/row_stream.h"
 #include "mine/brute_force.h"
@@ -14,6 +16,7 @@
 #include "mine/kmh_miner.h"
 #include "mine/mh_miner.h"
 #include "mine/mlsh_miner.h"
+#include "sketch/estimators.h"
 
 namespace sans {
 namespace {
@@ -242,6 +245,52 @@ TEST(HlshMinerTest, ExposesLevelStats) {
   ASSERT_TRUE(miner.Mine(source, 0.5).ok());
   EXPECT_FALSE(miner.last_level_stats().empty());
   EXPECT_EQ(miner.last_level_stats()[0].rows, data.matrix.num_rows());
+}
+
+TEST(KmhMinerTest, UnbiasedPruningKeepsExactlyTheEstimatesAboveFloor) {
+  const SyntheticDataset data = TestData();
+  InMemorySource source(&data.matrix);
+  KmhMinerConfig config;
+  config.sketch.k = 120;
+  config.sketch.seed = 2;
+  config.hash_count_slack = 0.1;  // admit pairs the pruning must drop
+  config.delta = 0.3;
+  constexpr double kThreshold = 0.5;
+  const double floor = (1.0 - config.delta) * kThreshold;
+
+  InMemoryRowStream stream(&data.matrix);
+  auto sketch = KMinHashGenerator(config.sketch).Compute(&stream);
+  ASSERT_TRUE(sketch.ok());
+  const CandidateSet filtered = HashCountKMinHashAdaptive(
+      *sketch, config.hash_count_slack * kThreshold);
+  const std::vector<SimilarPair> survivors =
+      PruneByUnbiasedEstimate(*sketch, filtered, floor);
+  ASSERT_FALSE(survivors.empty());
+  ASSERT_LT(survivors.size(), filtered.size());
+  std::vector<ColumnPair> kept;
+  for (const SimilarPair& survivor : survivors) kept.push_back(survivor.pair);
+  EXPECT_TRUE(std::is_sorted(kept.begin(), kept.end()));
+  for (const ColumnPair& pair : filtered.SortedPairs()) {
+    const double estimate = EstimateSimilarityUnbiased(
+        sketch->Signature(pair.first), sketch->Signature(pair.second),
+        config.sketch.k);
+    const auto it = std::lower_bound(kept.begin(), kept.end(), pair);
+    const bool is_kept = it != kept.end() && *it == pair;
+    EXPECT_EQ(is_kept, estimate >= floor);
+    if (is_kept) {
+      EXPECT_EQ(survivors[it - kept.begin()].similarity, estimate);
+    }
+  }
+
+  // The miner verifies exactly these survivors, or every Hash-Count
+  // candidate when pruning is off.
+  auto pruned = KmhMiner(config).Mine(source, kThreshold);
+  ASSERT_TRUE(pruned.ok());
+  EXPECT_EQ(pruned->candidates, kept);
+  config.unbiased_pruning = false;
+  auto unpruned = KmhMiner(config).Mine(source, kThreshold);
+  ASSERT_TRUE(unpruned.ok());
+  EXPECT_EQ(unpruned->candidates, filtered.SortedPairs());
 }
 
 }  // namespace

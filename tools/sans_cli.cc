@@ -56,7 +56,6 @@
 #include "serve/client.h"
 #include "serve/server.h"
 #include "serve/similarity_index.h"
-#include "sketch/estimators.h"
 #include "sketch/sketch_io.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
@@ -628,15 +627,8 @@ int RunPairsFromSketch(const Args& args) {
   // only, no table available for exact verification.
   const CandidateSet candidates =
       HashCountKMinHashAdaptive(*sketch, 0.5 * threshold);
-  std::vector<SimilarPair> pairs;
-  for (const auto& [pair, count] : candidates) {
-    const double estimate = EstimateSimilarityUnbiased(
-        sketch->Signature(pair.first), sketch->Signature(pair.second),
-        sketch->k());
-    if (estimate >= threshold) {
-      pairs.push_back(SimilarPair{pair, estimate});
-    }
-  }
+  std::vector<SimilarPair> pairs =
+      PruneByUnbiasedEstimate(*sketch, candidates, threshold);
   SortPairs(&pairs);
   std::printf("# %zu pairs (ESTIMATED similarities; verify against the "
               "table for exact values)\n",
