@@ -1,6 +1,5 @@
 #include "matrix/block_reader.h"
 
-#include <atomic>
 #include <memory>
 #include <utility>
 
@@ -57,72 +56,103 @@ void BlockQueue::Abort() {
   not_full_.notify_all();
 }
 
-Status ForEachRowBlock(
-    const RowStreamSource& source, const ExecutionConfig& config,
-    ThreadPool* pool,
-    const std::function<Status(int worker, const RowBlock& block)>& consume) {
+namespace {
+
+// Handles resolved once per process; hot-path updates are relaxed
+// atomic adds.
+struct PipelineMetrics {
+  Counter* rows_scanned;
+  Counter* blocks_produced;
+  Counter* blocks_consumed;
+  Gauge* queue_depth;
+  Counter* stalls;
+};
+
+const PipelineMetrics& Metrics() {
+  static const PipelineMetrics metrics = [] {
+    MetricsRegistry& registry = MetricsRegistry::Global();
+    return PipelineMetrics{
+        registry.GetCounter("sans_scan_rows_total"),
+        registry.GetCounter("sans_pipeline_blocks_produced_total"),
+        registry.GetCounter("sans_pipeline_blocks_consumed_total"),
+        registry.GetGauge("sans_pipeline_queue_depth"),
+        registry.GetCounter("sans_pipeline_backpressure_stalls_total")};
+  }();
+  return metrics;
+}
+
+// THE block loop: reads `stream` to its end, packing rows into blocks
+// of up to `block_rows` rows, and hands each full block — and, after a
+// clean end of stream, the final partial one — to `emit`, which may
+// move the block away. Rows are counted into sans_scan_rows_total once
+// their block is accepted; no other code increments that counter.
+Status ScanBlocks(RowStream* stream, size_t block_rows,
+                  const std::function<Status(RowBlock& block)>& emit) {
+  const PipelineMetrics& metrics = Metrics();
+  RowBlock block;
+  const auto flush = [&]() -> Status {
+    const size_t rows = block.size();
+    SANS_RETURN_IF_ERROR(emit(block));
+    metrics.rows_scanned->Increment(rows);
+    metrics.blocks_produced->Increment();
+    block.Clear();
+    return Status::OK();
+  };
+  RowView view;
+  while (stream->Next(&view)) {
+    block.Append(view.row, view.columns);
+    if (block.size() >= block_rows) SANS_RETURN_IF_ERROR(flush());
+  }
+  // A false Next() is only a clean end of table when the stream says
+  // so: a truncated scan fails instead of ending "cleanly".
+  SANS_RETURN_IF_ERROR(stream->stream_status());
+  if (!block.empty()) SANS_RETURN_IF_ERROR(flush());
+  return Status::OK();
+}
+
+}  // namespace
+
+int BlockWorkers(const ExecutionConfig& config, const ThreadPool* pool) {
+  return pool == nullptr ? 1 : config.num_threads;
+}
+
+Status ForEachStreamBlock(RowStream* stream, const BlockConsumer& consume,
+                          int block_rows) {
+  SANS_CHECK_GE(block_rows, 1);
+  return ScanBlocks(stream, static_cast<size_t>(block_rows),
+                    [&consume](RowBlock& block) {
+                      Metrics().blocks_consumed->Increment();
+                      return consume(0, block);
+                    });
+}
+
+Status ForEachRowBlock(const RowStreamSource& source,
+                       const ExecutionConfig& config, ThreadPool* pool,
+                       const BlockConsumer& consume) {
   SANS_RETURN_IF_ERROR(config.Validate());
   SANS_ASSIGN_OR_RETURN(std::unique_ptr<RowStream> stream, source.Open());
-  const size_t block_rows = static_cast<size_t>(config.block_rows);
-
-  // Handles resolved once per process; hot-path updates are relaxed
-  // atomic adds. Generators that bypass the block pipeline (the
-  // sequential fallbacks in mine/parallel) count rows themselves into
-  // the same counter, so every execution path counts exactly once.
-  MetricsRegistry& registry = MetricsRegistry::Global();
-  static Counter* const rows_scanned =
-      registry.GetCounter("sans_scan_rows_total");
-  static Counter* const blocks_produced =
-      registry.GetCounter("sans_pipeline_blocks_produced_total");
-  static Counter* const blocks_consumed =
-      registry.GetCounter("sans_pipeline_blocks_consumed_total");
-  static Gauge* const queue_depth =
-      registry.GetGauge("sans_pipeline_queue_depth");
-  static Counter* const stalls =
-      registry.GetCounter("sans_pipeline_backpressure_stalls_total");
-
-  if (pool == nullptr || config.num_threads <= 1) {
-    RowBlock block;
-    RowView view;
-    while (stream->Next(&view)) {
-      block.Append(view.row, view.columns);
-      if (block.size() >= block_rows) {
-        rows_scanned->Increment(block.size());
-        blocks_produced->Increment();
-        blocks_consumed->Increment();
-        SANS_RETURN_IF_ERROR(consume(0, block));
-        block.Clear();
-      }
-    }
-    SANS_RETURN_IF_ERROR(stream->stream_status());
-    if (!block.empty()) {
-      rows_scanned->Increment(block.size());
-      blocks_produced->Increment();
-      blocks_consumed->Increment();
-      SANS_RETURN_IF_ERROR(consume(0, block));
-    }
-    return Status::OK();
+  const int workers = BlockWorkers(config, pool);
+  if (workers == 1) {
+    return ForEachStreamBlock(stream.get(), consume, config.block_rows);
   }
 
-  const int workers = config.num_threads;
+  const PipelineMetrics& metrics = Metrics();
   BlockQueue queue(static_cast<size_t>(config.queue_depth));
-  queue.SetInstruments(queue_depth, stalls);
+  queue.SetInstruments(metrics.queue_depth, metrics.stalls);
   std::vector<Status> worker_status(workers);
-  std::atomic<bool> worker_failed{false};
   std::mutex done_mu;
   std::condition_variable done_cv;
   int pending = workers;
 
   for (int w = 0; w < workers; ++w) {
-    pool->Submit([w, &queue, &consume, &worker_status, &worker_failed,
-                  &done_mu, &done_cv, &pending] {
+    pool->Submit([w, &queue, &consume, &worker_status, &done_mu, &done_cv,
+                  &pending, &metrics] {
       RowBlock block;
       while (queue.Pop(&block)) {
-        blocks_consumed->Increment();
+        metrics.blocks_consumed->Increment();
         const Status status = consume(w, block);
         if (!status.ok()) {
           worker_status[w] = status;
-          worker_failed.store(true, std::memory_order_release);
           queue.Abort();
           break;
         }
@@ -135,38 +165,16 @@ Status ForEachRowBlock(
   }
 
   // The calling thread is the reader: the only thread touching the
-  // stream, so the source is scanned exactly once.
-  Status reader_status;
-  {
-    RowBlock block;
-    RowView view;
-    for (;;) {
-      if (worker_failed.load(std::memory_order_acquire)) {
-        break;
-      }
-      if (!stream->Next(&view)) {
-        reader_status = stream->stream_status();
-        if (reader_status.ok() && !block.empty()) {
-          const size_t rows = block.size();
-          if (queue.Push(std::move(block))) {
-            rows_scanned->Increment(rows);
-            blocks_produced->Increment();
-          }
-        }
-        break;
-      }
-      block.Append(view.row, view.columns);
-      if (block.size() >= block_rows) {
-        const size_t rows = block.size();
-        if (!queue.Push(std::move(block))) {
-          break;  // aborted by a failing worker
-        }
-        rows_scanned->Increment(rows);
-        blocks_produced->Increment();
-        block = RowBlock();
-      }
-    }
-  }
+  // stream, so the source is scanned exactly once. A failed Push means
+  // a worker aborted the queue; that worker's error is reported below.
+  bool aborted = false;
+  const Status reader_status = ScanBlocks(
+      stream.get(), static_cast<size_t>(config.block_rows),
+      [&queue, &aborted](RowBlock& block) {
+        if (queue.Push(std::move(block))) return Status::OK();
+        aborted = true;
+        return Status::Internal("block queue aborted");
+      });
   if (reader_status.ok()) {
     queue.Close();
   } else {
@@ -176,7 +184,7 @@ Status ForEachRowBlock(
     std::unique_lock<std::mutex> lock(done_mu);
     done_cv.wait(lock, [&pending] { return pending == 0; });
   }
-  SANS_RETURN_IF_ERROR(reader_status);
+  if (!aborted) SANS_RETURN_IF_ERROR(reader_status);
   for (const Status& status : worker_status) {
     SANS_RETURN_IF_ERROR(status);
   }

@@ -11,7 +11,7 @@
 // that accumulates per-worker partials mergeable by a commutative,
 // associative operation (element-wise min for min-hash signatures,
 // bottom-k multiset union for K-MH sketches, additive counters for
-// verification) reproduces the sequential result bit for bit when
+// verification) produces the same result for every worker count when
 // the partials are merged in worker-id order.
 
 #ifndef SANS_MATRIX_BLOCK_READER_H_
@@ -100,24 +100,46 @@ class BlockQueue {
   bool aborted_ = false;
 };
 
+// Per-block consumer: `worker` is the id of the worker running it.
+using BlockConsumer =
+    std::function<Status(int worker, const RowBlock& block)>;
+
+// The number of per-worker partials a consumer of ForEachRowBlock
+// needs: config.num_threads with a pool, 1 without one (the inline
+// mode below runs every block as worker 0).
+int BlockWorkers(const ExecutionConfig& config, const ThreadPool* pool);
+
 // Scans `source` once on the calling thread and fans the rows out to
-// `config.num_threads` consumers running on `pool`, as RowBlocks of
-// up to `config.block_rows` rows. `consume(worker, block)` runs
-// concurrently across workers, but each worker id sees its own calls
-// sequentially, so per-worker state needs no locking. Empty rows are
-// included in blocks; consumers that ignore them must skip them, the
-// same as the sequential loops do.
+// BlockWorkers(config, pool) consumers running on `pool`, as
+// RowBlocks of up to `config.block_rows` rows. `consume(worker,
+// block)` runs concurrently across workers, but each worker id sees
+// its own calls sequentially, so per-worker state needs no locking.
+// Empty rows are included in blocks; consumers that ignore them must
+// skip them.
 //
 // With a null pool or num_threads <= 1 the blocks are consumed inline
-// on the calling thread with worker id 0 (no queue, no threads).
+// on the calling thread with worker id 0 (no queue, no threads): one
+// thread is simply one worker running the same consumer.
 //
 // Error priority is deterministic: a reader error (stream open or a
 // truncated/failed scan) wins over worker errors; worker errors are
 // reported in worker-id order. Any error aborts the pipeline early.
-Status ForEachRowBlock(
-    const RowStreamSource& source, const ExecutionConfig& config,
-    ThreadPool* pool,
-    const std::function<Status(int worker, const RowBlock& block)>& consume);
+Status ForEachRowBlock(const RowStreamSource& source,
+                       const ExecutionConfig& config, ThreadPool* pool,
+                       const BlockConsumer& consume);
+
+// ForEachRowBlock's inline mode over an already-open stream: scans
+// `stream` from its current position on the calling thread and hands
+// each block to consume(0, block). The RowStream* entry points
+// (MinHashGenerator, KMinHashGenerator, the incremental builder's
+// AddAll, CountCandidatePairs, MaterializeStream) are thin wrappers
+// around it. Fails with the stream's error if the scan ends uncleanly.
+//
+// The block loop behind this function and ForEachRowBlock's reader
+// is the only place sans_scan_rows_total is incremented, so every
+// scan counts its rows exactly once whichever entry point ran it.
+Status ForEachStreamBlock(RowStream* stream, const BlockConsumer& consume,
+                          int block_rows = ExecutionConfig().block_rows);
 
 }  // namespace sans
 

@@ -1,5 +1,6 @@
 #include "matrix/row_stream.h"
 
+#include "matrix/block_reader.h"
 #include "matrix/matrix_builder.h"
 
 namespace sans {
@@ -7,15 +8,17 @@ namespace sans {
 Result<BinaryMatrix> MaterializeStream(RowStream* stream) {
   SANS_RETURN_IF_ERROR(stream->Reset());
   MatrixBuilder builder(stream->num_rows(), stream->num_cols());
-  RowView view;
-  while (stream->Next(&view)) {
-    for (ColumnId c : view.columns) {
-      SANS_RETURN_IF_ERROR(builder.Set(view.row, c));
-    }
-  }
-  // A false Next() is only a clean end of table when the stream says
-  // so — a truncated file must fail the materialization.
-  SANS_RETURN_IF_ERROR(stream->stream_status());
+  // The counted block loop fails a truncated scan, so a truncated file
+  // cannot materialize as a shorter table.
+  SANS_RETURN_IF_ERROR(ForEachStreamBlock(
+      stream, [&builder](int, const RowBlock& block) -> Status {
+        for (size_t i = 0; i < block.size(); ++i) {
+          for (ColumnId c : block.columns(i)) {
+            SANS_RETURN_IF_ERROR(builder.Set(block.row(i), c));
+          }
+        }
+        return Status::OK();
+      }));
   return std::move(builder).Build();
 }
 

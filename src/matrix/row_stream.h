@@ -109,7 +109,9 @@ class InMemorySource final : public RowStreamSource {
   const BinaryMatrix* matrix_;
 };
 
-/// Drains a stream back into a BinaryMatrix (test/round-trip helper).
+/// Drains a stream back into a BinaryMatrix (H-LSH's phase 1 and a
+/// round-trip helper). Runs on the counted block loop of
+/// matrix/block_reader.h, so it counts as one table scan.
 Result<BinaryMatrix> MaterializeStream(RowStream* stream);
 
 }  // namespace sans

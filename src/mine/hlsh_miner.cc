@@ -1,8 +1,6 @@
 #include "mine/hlsh_miner.h"
 
 #include "candgen/candidate_set.h"
-#include "mine/parallel.h"
-#include "mine/verifier.h"
 
 namespace sans {
 
@@ -12,42 +10,21 @@ HlshMiner::HlshMiner(const HlshMinerConfig& config) : config_(config) {
 
 Result<MiningReport> HlshMiner::Mine(const RowStreamSource& source,
                                      double threshold) {
-  if (threshold <= 0.0 || threshold > 1.0) {
-    return Status::InvalidArgument("threshold must lie in (0, 1]");
-  }
-  MiningReport report;
+  return MineInStages(*this, source, threshold, config_.execution);
+}
+
+Result<BinaryMatrix> HlshMiner::Sketch(const RowStreamSource& source,
+                                       ThreadPool* /*pool*/) const {
+  SANS_ASSIGN_OR_RETURN(std::unique_ptr<RowStream> stream, source.Open());
+  return MaterializeStream(stream.get());
+}
+
+Result<CandidateSet> HlshMiner::Candidates(const BinaryMatrix& matrix,
+                                           double /*threshold*/,
+                                           ThreadPool* /*pool*/) {
   level_stats_.clear();
-
-  // Phase 1 for H-LSH is materialization: the scheme works on the
-  // data itself, not on a sketch.
-  BinaryMatrix matrix(0, 0);
-  {
-    ScopedPhase phase(&report.timers, kPhaseSignatures);
-    SANS_ASSIGN_OR_RETURN(std::unique_ptr<RowStream> stream, source.Open());
-    SANS_ASSIGN_OR_RETURN(matrix, MaterializeStream(stream.get()));
-  }
-
-  // Phase 2: pyramid + density-banded bucketing.
-  CandidateSet candidates;
-  {
-    ScopedPhase phase(&report.timers, kPhaseCandidates);
-    HammingLshCandidateGenerator generator(config_.lsh);
-    candidates = generator.GenerateWithStats(matrix, &level_stats_);
-  }
-  report.candidates = candidates.SortedPairs();
-  report.num_candidates = report.candidates.size();
-
-  // Phase 3: exact verification.
-  {
-    ScopedPhase phase(&report.timers, kPhaseVerify);
-    const std::unique_ptr<ThreadPool> pool =
-        MaybeCreatePool(config_.execution);
-    SANS_ASSIGN_OR_RETURN(
-        report.pairs,
-        VerifyCandidatesParallel(source, report.candidates, threshold,
-                                 config_.execution, pool.get()));
-  }
-  return report;
+  return HammingLshCandidateGenerator(config_.lsh)
+      .GenerateWithStats(matrix, &level_stats_);
 }
 
 }  // namespace sans

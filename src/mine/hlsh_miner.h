@@ -22,7 +22,7 @@ struct HlshMinerConfig {
   HammingLshConfig lsh;
   /// Parallel execution knobs. Only the verification scan
   /// parallelizes: the pyramid needs random row access over the
-  /// materialized matrix and stays sequential.
+  /// materialized matrix and runs on the calling thread.
   ExecutionConfig execution;
 
   Status Validate() const {
@@ -40,7 +40,18 @@ class HlshMiner final : public Miner {
   Result<MiningReport> Mine(const RowStreamSource& source,
                             double threshold) override;
 
-  /// Per-level statistics of the last Mine() call.
+  /// Phase 1: the table materialized in memory (H-LSH works on the
+  /// data itself, not on a sketch), from one scan on the calling
+  /// thread.
+  Result<BinaryMatrix> Sketch(const RowStreamSource& source,
+                              ThreadPool* pool) const;
+
+  /// Phase 2: pyramid + density-banded bucketing; records the
+  /// per-level statistics. The threshold and pool are not consulted.
+  Result<CandidateSet> Candidates(const BinaryMatrix& matrix,
+                                  double threshold, ThreadPool* pool);
+
+  /// Per-level statistics of the last Mine() / Candidates() call.
   const std::vector<HammingLshLevelStats>& last_level_stats() const {
     return level_stats_;
   }

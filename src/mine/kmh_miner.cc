@@ -3,7 +3,6 @@
 #include "candgen/candidate_set.h"
 #include "candgen/hash_count.h"
 #include "mine/parallel.h"
-#include "mine/verifier.h"
 #include "sketch/estimators.h"
 
 namespace sans {
@@ -39,54 +38,31 @@ KmhMiner::KmhMiner(const KmhMinerConfig& config) : config_(config) {
 
 Result<MiningReport> KmhMiner::Mine(const RowStreamSource& source,
                                     double threshold) {
-  if (threshold <= 0.0 || threshold > 1.0) {
-    return Status::InvalidArgument("threshold must lie in (0, 1]");
-  }
-  MiningReport report;
-  // One pool shared by all three phases (null => sequential).
-  const std::unique_ptr<ThreadPool> pool = MaybeCreatePool(config_.execution);
+  return MineInStages(*this, source, threshold, config_.execution);
+}
 
-  // Phase 1: bottom-k sketch computation (single pass, one hash/row).
-  KMinHashSketch sketch(1, 0);
-  {
-    ScopedPhase phase(&report.timers, kPhaseSignatures);
-    SANS_ASSIGN_OR_RETURN(
-        sketch, ComputeKMinHashParallel(source, config_.sketch,
-                                        config_.execution, pool.get()));
-  }
+Result<KMinHashSketch> KmhMiner::Sketch(const RowStreamSource& source,
+                                        ThreadPool* pool) const {
+  return ComputeKMinHashParallel(source, config_.sketch, config_.execution,
+                                 pool);
+}
 
-  // Phase 2a: biased Hash-Count filter on |SIG_i ∩ SIG_j|.
-  // Phase 2b: unbiased Theorem-2 pruning of survivors.
-  std::vector<ColumnPair> survivors;
-  {
-    ScopedPhase phase(&report.timers, kPhaseCandidates);
-    // Adaptive Lemma-1 cut: proportional to each pair's signature
-    // sizes, so columns sparser than k are filtered fairly.
-    SANS_ASSIGN_OR_RETURN(
-        const CandidateSet candidates,
-        HashCountKMinHashAdaptiveParallel(
-            sketch, config_.hash_count_slack * threshold, pool.get()));
-    if (config_.unbiased_pruning) {
-      for (const SimilarPair& survivor : PruneByUnbiasedEstimate(
-               sketch, candidates, (1.0 - config_.delta) * threshold)) {
-        survivors.push_back(survivor.pair);
-      }
-    } else {
-      survivors = candidates.SortedPairs();
-    }
+Result<CandidateSet> KmhMiner::Candidates(const KMinHashSketch& sketch,
+                                          double threshold,
+                                          ThreadPool* pool) const {
+  // Adaptive Lemma-1 cut: proportional to each pair's signature sizes,
+  // so columns sparser than k are filtered fairly.
+  SANS_ASSIGN_OR_RETURN(
+      CandidateSet candidates,
+      HashCountKMinHashAdaptiveParallel(
+          sketch, config_.hash_count_slack * threshold, pool));
+  if (!config_.unbiased_pruning) return candidates;
+  CandidateSet survivors;
+  for (const SimilarPair& survivor : PruneByUnbiasedEstimate(
+           sketch, candidates, (1.0 - config_.delta) * threshold)) {
+    survivors.Add(survivor.pair, candidates.Count(survivor.pair));
   }
-  report.candidates = survivors;
-  report.num_candidates = survivors.size();
-
-  // Phase 3: exact verification (second pass).
-  {
-    ScopedPhase phase(&report.timers, kPhaseVerify);
-    SANS_ASSIGN_OR_RETURN(
-        report.pairs,
-        VerifyCandidatesParallel(source, survivors, threshold,
-                                 config_.execution, pool.get()));
-  }
-  return report;
+  return survivors;
 }
 
 }  // namespace sans

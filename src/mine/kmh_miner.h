@@ -32,8 +32,8 @@ struct KmhMinerConfig {
   /// When false, the unbiased pruning stage is skipped and every
   /// Hash-Count survivor goes to verification (ablation knob).
   bool unbiased_pruning = true;
-  /// Parallel execution knobs; num_threads == 1 runs the sequential
-  /// reference path. Output is identical for any thread count.
+  /// Parallel execution knobs. Output is identical for any thread
+  /// count; one thread runs every phase inline on the caller.
   ExecutionConfig execution;
 
   Status Validate() const;
@@ -54,6 +54,18 @@ class KmhMiner final : public Miner {
   std::string name() const override { return "K-MH"; }
   Result<MiningReport> Mine(const RowStreamSource& source,
                             double threshold) override;
+
+  /// Phase 1: bottom-k sketches plus exact cardinalities, from one
+  /// scan.
+  Result<KMinHashSketch> Sketch(const RowStreamSource& source,
+                                ThreadPool* pool) const;
+
+  /// Phase 2: the adaptive Hash-Count survivors at
+  /// hash_count_slack·s* (2a), pruned to the pairs whose unbiased
+  /// estimate reaches (1-δ)·s* when unbiased_pruning is set (2b). Each
+  /// pair keeps its Hash-Count count.
+  Result<CandidateSet> Candidates(const KMinHashSketch& sketch,
+                                  double threshold, ThreadPool* pool) const;
 
   const KmhMinerConfig& config() const { return config_; }
 

@@ -6,7 +6,6 @@
 #include "candgen/hash_count.h"
 #include "candgen/row_sort.h"
 #include "mine/parallel.h"
-#include "mine/verifier.h"
 
 namespace sans {
 
@@ -25,55 +24,28 @@ MhMiner::MhMiner(const MhMinerConfig& config) : config_(config) {
 
 Result<MiningReport> MhMiner::Mine(const RowStreamSource& source,
                                    double threshold) {
-  if (threshold <= 0.0 || threshold > 1.0) {
-    return Status::InvalidArgument("threshold must lie in (0, 1]");
-  }
-  MiningReport report;
-  // One pool shared by all three phases (null => sequential).
-  const std::unique_ptr<ThreadPool> pool = MaybeCreatePool(config_.execution);
+  return MineInStages(*this, source, threshold, config_.execution);
+}
 
-  // Phase 1: signature computation (single pass).
-  SignatureMatrix signatures(1, 0);
-  {
-    ScopedPhase phase(&report.timers, kPhaseSignatures);
-    SANS_ASSIGN_OR_RETURN(
-        signatures, ComputeMinHashParallel(source, config_.min_hash,
-                                           config_.execution, pool.get()));
-  }
+Result<SignatureMatrix> MhMiner::Sketch(const RowStreamSource& source,
+                                        ThreadPool* pool) const {
+  return ComputeMinHashParallel(source, config_.min_hash, config_.execution,
+                                pool);
+}
 
-  // Phase 2: candidate generation in main memory.
-  CandidateSet candidates;
-  {
-    ScopedPhase phase(&report.timers, kPhaseCandidates);
-    const int k = config_.min_hash.num_hashes;
-    const int min_agreements = std::max(
-        1,
-        static_cast<int>(std::ceil((1.0 - config_.delta) * threshold * k)));
-    switch (config_.candidates) {
-      case MhCandidateAlgorithm::kRowSort: {
-        RowSorter sorter(&signatures);
-        candidates = sorter.Candidates(min_agreements);
-        break;
-      }
-      case MhCandidateAlgorithm::kHashCount:
-        SANS_ASSIGN_OR_RETURN(
-            candidates,
-            HashCountMinHashParallel(signatures, min_agreements, pool.get()));
-        break;
-    }
+Result<CandidateSet> MhMiner::Candidates(const SignatureMatrix& signatures,
+                                         double threshold,
+                                         ThreadPool* pool) const {
+  const int k = config_.min_hash.num_hashes;
+  const int min_agreements = std::max(
+      1, static_cast<int>(std::ceil((1.0 - config_.delta) * threshold * k)));
+  switch (config_.candidates) {
+    case MhCandidateAlgorithm::kRowSort:
+      return RowSorter(&signatures).Candidates(min_agreements);
+    case MhCandidateAlgorithm::kHashCount:
+      return HashCountMinHashParallel(signatures, min_agreements, pool);
   }
-  report.candidates = candidates.SortedPairs();
-  report.num_candidates = report.candidates.size();
-
-  // Phase 3: exact verification (second pass).
-  {
-    ScopedPhase phase(&report.timers, kPhaseVerify);
-    SANS_ASSIGN_OR_RETURN(
-        report.pairs,
-        VerifyCandidatesParallel(source, report.candidates, threshold,
-                                 config_.execution, pool.get()));
-  }
-  return report;
+  return Status::InvalidArgument("unknown MH candidate algorithm");
 }
 
 }  // namespace sans

@@ -6,6 +6,7 @@
 #ifndef SANS_MINE_MH_MINER_H_
 #define SANS_MINE_MH_MINER_H_
 
+#include "candgen/candidate_set.h"
 #include "mine/miner.h"
 #include "sketch/min_hash.h"
 #include "util/status.h"
@@ -28,8 +29,8 @@ struct MhMinerConfig {
   /// Larger δ admits more candidates (fewer false negatives, more
   /// verification work).
   double delta = 0.2;
-  /// Parallel execution knobs; num_threads == 1 runs the sequential
-  /// reference path. Output is identical for any thread count.
+  /// Parallel execution knobs. Output is identical for any thread
+  /// count; one thread runs every phase inline on the caller.
   ExecutionConfig execution;
 
   Status Validate() const;
@@ -43,6 +44,15 @@ class MhMiner final : public Miner {
   std::string name() const override { return "MH"; }
   Result<MiningReport> Mine(const RowStreamSource& source,
                             double threshold) override;
+
+  /// Phase 1: the k × m Min-Hash signature matrix, from one scan.
+  Result<SignatureMatrix> Sketch(const RowStreamSource& source,
+                                 ThreadPool* pool) const;
+
+  /// Phase 2: the pairs agreeing on at least max(1, ⌈(1-δ)·s*·k⌉) of
+  /// the k min-hash values, each with its agreement count.
+  Result<CandidateSet> Candidates(const SignatureMatrix& signatures,
+                                  double threshold, ThreadPool* pool) const;
 
   const MhMinerConfig& config() const { return config_; }
 

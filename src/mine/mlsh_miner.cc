@@ -1,7 +1,6 @@
 #include "mine/mlsh_miner.h"
 
 #include "mine/parallel.h"
-#include "mine/verifier.h"
 
 namespace sans {
 
@@ -40,52 +39,26 @@ Result<MlshMiner> MlshMiner::FromDistribution(
 
 Result<MiningReport> MlshMiner::Mine(const RowStreamSource& source,
                                      double threshold) {
-  if (threshold <= 0.0 || threshold > 1.0) {
-    return Status::InvalidArgument("threshold must lie in (0, 1]");
-  }
-  MiningReport report;
-  // One pool shared by all three phases (null => sequential).
-  const std::unique_ptr<ThreadPool> pool = MaybeCreatePool(config_.execution);
+  return MineInStages(*this, source, threshold, config_.execution);
+}
 
-  const int k = config_.lsh.sampled
-                    ? config_.num_hashes
-                    : config_.lsh.rows_per_band * config_.lsh.num_bands;
+Result<SignatureMatrix> MlshMiner::Sketch(const RowStreamSource& source,
+                                          ThreadPool* pool) const {
+  const MinLshConfig& lsh = config_.lsh;
+  MinHashConfig mh_config;
+  mh_config.num_hashes =
+      lsh.sampled ? config_.num_hashes : lsh.rows_per_band * lsh.num_bands;
+  mh_config.family = config_.family;
+  mh_config.seed = config_.seed;
+  return ComputeMinHashParallel(source, mh_config, config_.execution, pool);
+}
 
-  // Phase 1: min-hash signatures sized for the band layout.
-  SignatureMatrix signatures(1, 0);
-  {
-    ScopedPhase phase(&report.timers, kPhaseSignatures);
-    MinHashConfig mh_config;
-    mh_config.num_hashes = k;
-    mh_config.family = config_.family;
-    mh_config.seed = config_.seed;
-    SANS_ASSIGN_OR_RETURN(
-        signatures, ComputeMinHashParallel(source, mh_config,
-                                           config_.execution, pool.get()));
-  }
-
-  // Phase 2: banded LSH bucketing, parallel per band.
-  CandidateSet candidates;
-  {
-    ScopedPhase phase(&report.timers, kPhaseCandidates);
-    MinLshConfig lsh = config_.lsh;
-    lsh.seed = config_.seed;
-    MinLshCandidateGenerator generator(lsh);
-    SANS_ASSIGN_OR_RETURN(candidates,
-                          generator.Generate(signatures, pool.get()));
-  }
-  report.candidates = candidates.SortedPairs();
-  report.num_candidates = report.candidates.size();
-
-  // Phase 3: exact verification.
-  {
-    ScopedPhase phase(&report.timers, kPhaseVerify);
-    SANS_ASSIGN_OR_RETURN(
-        report.pairs,
-        VerifyCandidatesParallel(source, report.candidates, threshold,
-                                 config_.execution, pool.get()));
-  }
-  return report;
+Result<CandidateSet> MlshMiner::Candidates(const SignatureMatrix& signatures,
+                                           double /*threshold*/,
+                                           ThreadPool* pool) const {
+  MinLshConfig lsh = config_.lsh;
+  lsh.seed = config_.seed;
+  return MinLshCandidateGenerator(lsh).Generate(signatures, pool);
 }
 
 }  // namespace sans

@@ -31,8 +31,8 @@ struct MlshMinerConfig {
   int num_hashes = 40;
   HashFamily family = HashFamily::kSplitMix64;
   uint64_t seed = 0;
-  /// Parallel execution knobs; num_threads == 1 runs the sequential
-  /// reference path. Output is identical for any thread count.
+  /// Parallel execution knobs. Output is identical for any thread
+  /// count; one thread runs every phase inline on the caller.
   ExecutionConfig execution;
 
   Status Validate() const;
@@ -53,6 +53,16 @@ class MlshMiner final : public Miner {
   std::string name() const override { return "M-LSH"; }
   Result<MiningReport> Mine(const RowStreamSource& source,
                             double threshold) override;
+
+  /// Phase 1: min-hash signatures sized for the band layout (r·l
+  /// functions banded, num_hashes sampled), from one scan.
+  Result<SignatureMatrix> Sketch(const RowStreamSource& source,
+                                 ThreadPool* pool) const;
+
+  /// Phase 2: banded LSH bucketing, parallel per band. The bands fix
+  /// the candidate set, so the threshold is not consulted.
+  Result<CandidateSet> Candidates(const SignatureMatrix& signatures,
+                                  double threshold, ThreadPool* pool) const;
 
   const MlshMinerConfig& config() const { return config_; }
   /// Set when the miner came from FromDistribution.

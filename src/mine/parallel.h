@@ -1,22 +1,21 @@
-// Parallel phase-1/phase-3 execution on the single-scan block
-// pipeline (matrix/block_reader.h): one reader thread scans the
-// RowStreamSource exactly once, packs rows into RowBlocks and fans
-// them out to thread-pool workers through a bounded queue. Each
-// worker accumulates a private partial result; partials are merged
-// deterministically in worker-id order — element-wise min for
-// min-hash signatures, bottom-k multiset union (then dedup) for
-// K-Min-Hash sketches, additive union/intersection counters for
-// verification — so every function here is bit-identical to its
-// sequential counterpart for any thread count, block size, or
-// scheduling.
+// Phase-1 scans on the single-scan block pipeline
+// (matrix/block_reader.h): one reader scans the RowStreamSource
+// exactly once, packs rows into RowBlocks and hands them to
+// BlockWorkers(execution, pool) workers. Each worker runs the same
+// accumulator — the blocked Min-Hash kernel (sketch_kernels.h) or an
+// IncrementalKMinHashBuilder — into a private partial, and partials
+// are merged deterministically in worker-id order (element-wise min
+// for min-hash signatures, IncrementalKMinHashBuilder::Merge for
+// bottom-k sketches), so every function here returns the same bytes
+// for any thread count, block size, or scheduling. With a null pool or
+// execution.num_threads <= 1 there is one worker, run inline on the
+// calling thread.
 //
-// With a null pool or execution.num_threads <= 1, each function runs
-// the plain sequential implementation (the reference path).
+// The phase-3 counterparts, CountCandidatePairsParallel and
+// VerifyCandidatesParallel, live in mine/verifier.h (included here).
 
 #ifndef SANS_MINE_PARALLEL_H_
 #define SANS_MINE_PARALLEL_H_
-
-#include <vector>
 
 #include "matrix/row_stream.h"
 #include "mine/verifier.h"
@@ -35,27 +34,13 @@ Result<SignatureMatrix> ComputeMinHashParallel(const RowStreamSource& source,
                                                ThreadPool* pool);
 
 /// Computes bottom-k sketches (plus exact cardinalities) over one
-/// scan. Per-worker memory is one k-bounded heap per column; the
-/// merged column signature is the k smallest values across workers
-/// with duplicates retained until the final dedup, which is exactly
-/// what the sequential single heap retains.
+/// scan. Each worker owns one IncrementalKMinHashBuilder (one k-bounded
+/// heap per column); the builders are merged in worker-id order and
+/// snapshotted.
 Result<KMinHashSketch> ComputeKMinHashParallel(const RowStreamSource& source,
                                                const KMinHashConfig& config,
                                                const ExecutionConfig& execution,
                                                ThreadPool* pool);
-
-/// Verifies candidates over one scan; per-worker counters are summed
-/// in worker-id order. Output order matches `candidates`.
-Result<std::vector<VerifiedPair>> CountCandidatePairsParallel(
-    const RowStreamSource& source, const std::vector<ColumnPair>& candidates,
-    const ExecutionConfig& execution, ThreadPool* pool);
-
-/// Parallel counterpart of VerifyCandidates: counts via
-/// CountCandidatePairsParallel, then keeps pairs with exact
-/// similarity >= threshold, sorted by descending similarity.
-Result<std::vector<SimilarPair>> VerifyCandidatesParallel(
-    const RowStreamSource& source, const std::vector<ColumnPair>& candidates,
-    double threshold, const ExecutionConfig& execution, ThreadPool* pool);
 
 }  // namespace sans
 

@@ -1,20 +1,16 @@
 #include "mine/pipeline_runner.h"
 
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <optional>
 #include <sstream>
+#include <type_traits>
 
 #include "candgen/candidate_io.h"
 #include "candgen/candidate_set.h"
-#include "candgen/hash_count.h"
-#include "candgen/row_sort.h"
 #include "matrix/table_file.h"
-#include "mine/parallel.h"
 #include "mine/verifier.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -66,6 +62,15 @@ namespace {
 enum StageIndex { kStageSignatures = 0, kStageCandidates, kStagePairs };
 constexpr const char* kStageNames[] = {"signatures", "candidates", "pairs"};
 constexpr int kNumStages = 3;
+// Per stage: artifact file, phase timer name, and what the log calls
+// its output.
+constexpr const char* kStageFiles[] = {PipelineRunner::kSignaturesFile,
+                                       PipelineRunner::kCandidatesFile,
+                                       PipelineRunner::kPairsFile};
+constexpr const char* kStagePhases[] = {kPhaseSignatures, kPhaseCandidates,
+                                        kPhaseVerify};
+constexpr const char* kStageOutputs[] = {"signatures", "candidates",
+                                         "verified pairs"};
 
 struct ManifestStage {
   std::string file;
@@ -279,9 +284,124 @@ std::string PipelineRunner::FingerprintString(
   return s;
 }
 
+namespace {
+
+// Stage artifact I/O, one overload per artifact type: the three
+// phase-1 artifacts (signature matrix, bottom-k sketch, materialized
+// table), the candidate set, and the verified pairs.
+Status WriteArtifact(const SignatureMatrix& signatures,
+                     const std::string& path) {
+  return WriteSignatureMatrix(signatures, path);
+}
+Status WriteArtifact(const KMinHashSketch& sketch, const std::string& path) {
+  return WriteKMinHashSketch(sketch, path);
+}
+Status WriteArtifact(const BinaryMatrix& table, const std::string& path) {
+  return WriteTableFile(table, path);
+}
+Status WriteArtifact(const CandidateSet& candidates,
+                     const std::string& path) {
+  return WriteCandidateSet(candidates, path);
+}
+Status WriteArtifact(const std::vector<SimilarPair>& pairs,
+                     const std::string& path) {
+  return WriteSimilarPairs(pairs, path);
+}
+
+template <typename Artifact>
+Result<Artifact> ReadArtifact(const std::string& path);
+template <>
+Result<SignatureMatrix> ReadArtifact(const std::string& path) {
+  return ReadSignatureMatrix(path);
+}
+template <>
+Result<KMinHashSketch> ReadArtifact(const std::string& path) {
+  return ReadKMinHashSketch(path);
+}
+template <>
+Result<BinaryMatrix> ReadArtifact(const std::string& path) {
+  return ReadTableFile(path);
+}
+template <>
+Result<CandidateSet> ReadArtifact(const std::string& path) {
+  return ReadCandidateSet(path);
+}
+template <>
+Result<std::vector<SimilarPair>> ReadArtifact(const std::string& path) {
+  return ReadSimilarPairs(path);
+}
+
+// A miner config with the pipeline's execution knobs.
+template <typename MinerConfig>
+MinerConfig WithExecution(MinerConfig config,
+                          const ExecutionConfig& execution) {
+  config.execution = execution;
+  return config;
+}
+
+}  // namespace
+
+RunReport BuildRunReport(const std::string& algorithm, double threshold,
+                         const RowStreamSource& source, int threads,
+                         const MiningReport& mining,
+                         const MetricsSnapshot& before) {
+  RunReport report;
+  report.algorithm = algorithm;
+  report.threshold = threshold;
+  report.table_rows = source.num_rows();
+  report.table_cols = source.num_cols();
+  report.threads = threads;
+  // PhaseTimer keys sort in pipeline order by construction
+  // ("1-signatures" < "2-candidates" < "3-verify"); a stage reused
+  // from a checkpoint has no timer entry and is absent, which the
+  // report reads as "paid nothing".
+  for (const auto& [phase, seconds] : mining.timers.totals()) {
+    report.phases.push_back(RunReport::Phase{phase, seconds});
+  }
+  report.metric_deltas =
+      CounterDeltas(before, MetricsRegistry::Global().Snapshot());
+  const auto delta = [&report](const char* name) -> uint64_t {
+    const auto it = report.metric_deltas.find(name);
+    return it == report.metric_deltas.end() ? 0 : it->second;
+  };
+  report.rows_scanned = delta("sans_scan_rows_total");
+  report.candidates_generated = delta("sans_candgen_candidates_total");
+  report.candidates_verified = delta("sans_verify_candidates_total");
+  report.true_positives = delta("sans_verify_true_positives_total");
+  report.false_positives = delta("sans_verify_false_positives_total");
+  report.pairs_emitted = mining.pairs.size();
+  return report;
+}
+
 Result<PipelineRunSummary> PipelineRunner::Run(
     const RowStreamSource& source) const {
   SANS_RETURN_IF_ERROR(config_.Validate());
+  // Phases 1-2 are the configured miner's own stage methods, run with
+  // the pipeline's execution knobs.
+  switch (config_.algorithm) {
+    case PipelineAlgorithm::kMh: {
+      MhMiner miner(WithExecution(config_.mh, config_.execution));
+      return RunStages(miner, source);
+    }
+    case PipelineAlgorithm::kKmh: {
+      KmhMiner miner(WithExecution(config_.kmh, config_.execution));
+      return RunStages(miner, source);
+    }
+    case PipelineAlgorithm::kMlsh: {
+      MlshMiner miner(WithExecution(config_.mlsh, config_.execution));
+      return RunStages(miner, source);
+    }
+    case PipelineAlgorithm::kHlsh: {
+      HlshMiner miner(WithExecution(config_.hlsh, config_.execution));
+      return RunStages(miner, source);
+    }
+  }
+  return Status::InvalidArgument("unknown pipeline algorithm");
+}
+
+template <typename StagedMiner>
+Result<PipelineRunSummary> PipelineRunner::RunStages(
+    StagedMiner& miner, const RowStreamSource& source) const {
   std::error_code ec;
   std::filesystem::create_directories(config_.checkpoint_dir, ec);
   if (ec) {
@@ -294,7 +414,7 @@ Result<PipelineRunSummary> PipelineRunner::Run(
   PipelineRunSummary summary;
   ResilienceStats stats;
   const ResilientSource resilient(&source, config_.resilience, &stats);
-  // One pool shared by all stages (null => sequential reference path).
+  // One pool shared by all stages (null => one inline worker).
   const std::unique_ptr<ThreadPool> pool = MaybeCreatePool(config_.execution);
 
   // Observability: counter deltas over this run against the global
@@ -344,216 +464,75 @@ Result<PipelineRunSummary> PipelineRunner::Run(
     }
     return path;
   };
-  // Persists the manifest after a completed stage.
-  const auto commit_stage = [&](int index, const char* file) -> Status {
+  // One checkpointed stage: reuse the artifact the manifest records
+  // for `index` while the reuse chain holds and it loads; otherwise
+  // compute it (timed as the stage's phase), persist it and commit the
+  // manifest. Returns whether the artifact was reused.
+  const auto run_stage = [&]<typename T>(int index,
+                                         std::optional<T>* artifact,
+                                         const auto& compute) -> Result<bool> {
+    if (const auto path = stage_artifact(index)) {
+      Result<T> loaded = ReadArtifact<T>(*path);
+      if (loaded.ok()) {
+        *artifact = std::move(loaded).value();
+        summary.log.push_back(std::string("[pipeline] reusing checkpointed ") +
+                              kStageOutputs[index]);
+        out.stages[index] = prior.stages[index];
+        return true;
+      }
+      summary.log.push_back("[pipeline] " + std::string(kStageNames[index]) +
+                            " artifact failed to load; recomputing (" +
+                            loaded.status().ToString() + ")");
+    }
+    reuse_chain = false;
+    {
+      ScopedPhase phase(&summary.report.timers, kStagePhases[index]);
+      TraceSpan span(&trace, kStagePhases[index], root_span);
+      SANS_ASSIGN_OR_RETURN(*artifact, compute());
+    }
+    TraceSpan span(&trace, std::string("checkpoint-") + kStageNames[index],
+                   root_span);
+    const char* const file = kStageFiles[index];
+    SANS_RETURN_IF_ERROR(WriteArtifact(**artifact, dir + file));
     SANS_ASSIGN_OR_RETURN(const uint32_t crc, Crc32cOfFile(dir + file));
     out.stages[index] = ManifestStage{file, crc};
-    return WriteManifest(manifest_path, PipelineAlgorithmName(config_.algorithm),
-                         out);
+    SANS_RETURN_IF_ERROR(WriteManifest(
+        manifest_path, PipelineAlgorithmName(config_.algorithm), out));
+    summary.log.push_back(std::string("[pipeline] ") + kStageOutputs[index] +
+                          " computed and checkpointed");
+    return false;
   };
 
-  // ---- Stage 1: signatures (one resilient pass over the table). ----
-  // The artifact type depends on the scheme: signature matrix (mh,
-  // mlsh), bottom-k sketch (kmh), or the materialized table (hlsh).
-  std::optional<SignatureMatrix> signatures;
-  std::optional<KMinHashSketch> sketch;
-  std::optional<BinaryMatrix> table;
-  const std::string signatures_path = dir + kSignaturesFile;
+  // Stage 1, one resilient pass over the table: the artifact is
+  // whatever the miner's Sketch returns — a signature matrix (mh,
+  // mlsh), a bottom-k sketch (kmh), or the materialized table (hlsh).
+  using Artifact = std::remove_cvref_t<
+      decltype(miner.Sketch(source, nullptr).value())>;
+  std::optional<Artifact> artifact;
+  SANS_ASSIGN_OR_RETURN(
+      summary.reused_signatures,
+      run_stage(kStageSignatures, &artifact,
+                [&] { return miner.Sketch(resilient, pool.get()); }));
 
-  if (const auto artifact = stage_artifact(kStageSignatures)) {
-    switch (config_.algorithm) {
-      case PipelineAlgorithm::kMh:
-      case PipelineAlgorithm::kMlsh: {
-        Result<SignatureMatrix> loaded = ReadSignatureMatrix(*artifact);
-        if (loaded.ok()) signatures = std::move(loaded).value();
-        break;
-      }
-      case PipelineAlgorithm::kKmh: {
-        Result<KMinHashSketch> loaded = ReadKMinHashSketch(*artifact);
-        if (loaded.ok()) sketch = std::move(loaded).value();
-        break;
-      }
-      case PipelineAlgorithm::kHlsh: {
-        Result<BinaryMatrix> loaded = ReadTableFile(*artifact);
-        if (loaded.ok()) table = std::move(loaded).value();
-        break;
-      }
-    }
-    if (signatures.has_value() || sketch.has_value() || table.has_value()) {
-      summary.reused_signatures = true;
-      summary.log.push_back("[pipeline] reusing checkpointed signatures");
-      out.stages[kStageSignatures] = prior.stages[kStageSignatures];
-    } else {
-      summary.log.push_back(
-          "[pipeline] signatures artifact failed to load; recomputing");
-    }
-  }
-  if (!summary.reused_signatures) {
-    reuse_chain = false;
-    {
-      ScopedPhase phase(&summary.report.timers, kPhaseSignatures);
-      TraceSpan span(&trace, kPhaseSignatures, root_span);
-      switch (config_.algorithm) {
-        case PipelineAlgorithm::kMh: {
-          SANS_ASSIGN_OR_RETURN(
-              signatures,
-              ComputeMinHashParallel(resilient, config_.mh.min_hash,
-                                     config_.execution, pool.get()));
-          break;
-        }
-        case PipelineAlgorithm::kMlsh: {
-          MinHashConfig mh_config;
-          mh_config.num_hashes =
-              config_.mlsh.lsh.sampled
-                  ? config_.mlsh.num_hashes
-                  : config_.mlsh.lsh.rows_per_band * config_.mlsh.lsh.num_bands;
-          mh_config.family = config_.mlsh.family;
-          mh_config.seed = config_.mlsh.seed;
-          SANS_ASSIGN_OR_RETURN(
-              signatures, ComputeMinHashParallel(resilient, mh_config,
-                                                 config_.execution, pool.get()));
-          break;
-        }
-        case PipelineAlgorithm::kKmh: {
-          SANS_ASSIGN_OR_RETURN(
-              sketch, ComputeKMinHashParallel(resilient, config_.kmh.sketch,
-                                              config_.execution, pool.get()));
-          break;
-        }
-        case PipelineAlgorithm::kHlsh: {
-          // H-LSH materializes the table (random access in phase 2).
-          SANS_ASSIGN_OR_RETURN(std::unique_ptr<RowStream> stream,
-                                resilient.Open());
-          SANS_ASSIGN_OR_RETURN(table, MaterializeStream(stream.get()));
-          break;
-        }
-      }
-    }
-    TraceSpan span(&trace, "checkpoint-signatures", root_span);
-    if (signatures.has_value()) {
-      SANS_RETURN_IF_ERROR(WriteSignatureMatrix(*signatures, signatures_path));
-    } else if (sketch.has_value()) {
-      SANS_RETURN_IF_ERROR(WriteKMinHashSketch(*sketch, signatures_path));
-    } else {
-      SANS_RETURN_IF_ERROR(WriteTableFile(*table, signatures_path));
-    }
-    SANS_RETURN_IF_ERROR(commit_stage(kStageSignatures, kSignaturesFile));
-    summary.log.push_back("[pipeline] signatures computed and checkpointed");
-  }
-
-  // ---- Stage 2: candidate generation (main memory). ----
-  CandidateSet candidates;
-  const std::string candidates_path = dir + kCandidatesFile;
-
-  if (const auto artifact = stage_artifact(kStageCandidates)) {
-    Result<CandidateSet> loaded = ReadCandidateSet(*artifact);
-    if (loaded.ok()) {
-      candidates = std::move(loaded).value();
-      summary.reused_candidates = true;
-      summary.log.push_back("[pipeline] reusing checkpointed candidates");
-      out.stages[kStageCandidates] = prior.stages[kStageCandidates];
-    } else {
-      summary.log.push_back(
-          "[pipeline] candidates artifact failed to load; recomputing (" +
-          loaded.status().ToString() + ")");
-    }
-  }
-  if (!summary.reused_candidates) {
-    reuse_chain = false;
-    {
-      ScopedPhase phase(&summary.report.timers, kPhaseCandidates);
-      TraceSpan span(&trace, kPhaseCandidates, root_span);
-      switch (config_.algorithm) {
-        case PipelineAlgorithm::kMh: {
-          const int k = config_.mh.min_hash.num_hashes;
-          const int min_agreements = std::max(
-              1, static_cast<int>(
-                     std::ceil((1.0 - config_.mh.delta) * config_.threshold *
-                               k)));
-          switch (config_.mh.candidates) {
-            case MhCandidateAlgorithm::kRowSort: {
-              RowSorter sorter(&*signatures);
-              candidates = sorter.Candidates(min_agreements);
-              break;
-            }
-            case MhCandidateAlgorithm::kHashCount:
-              SANS_ASSIGN_OR_RETURN(
-                  candidates, HashCountMinHashParallel(
-                                  *signatures, min_agreements, pool.get()));
-              break;
-          }
-          break;
-        }
-        case PipelineAlgorithm::kKmh: {
-          SANS_ASSIGN_OR_RETURN(
-              candidates,
-              HashCountKMinHashAdaptiveParallel(
-                  *sketch, config_.kmh.hash_count_slack * config_.threshold,
-                  pool.get()));
-          if (config_.kmh.unbiased_pruning) {
-            CandidateSet survivors;
-            for (const SimilarPair& survivor : PruneByUnbiasedEstimate(
-                     *sketch, candidates,
-                     (1.0 - config_.kmh.delta) * config_.threshold)) {
-              survivors.Add(survivor.pair, candidates.Count(survivor.pair));
-            }
-            candidates = std::move(survivors);
-          }
-          break;
-        }
-        case PipelineAlgorithm::kMlsh: {
-          MinLshConfig lsh = config_.mlsh.lsh;
-          lsh.seed = config_.mlsh.seed;
-          MinLshCandidateGenerator generator(lsh);
-          SANS_ASSIGN_OR_RETURN(candidates,
-                                generator.Generate(*signatures, pool.get()));
-          break;
-        }
-        case PipelineAlgorithm::kHlsh: {
-          HammingLshCandidateGenerator generator(config_.hlsh.lsh);
-          candidates = generator.Generate(*table);
-          break;
-        }
-      }
-    }
-    TraceSpan span(&trace, "checkpoint-candidates", root_span);
-    SANS_RETURN_IF_ERROR(WriteCandidateSet(candidates, candidates_path));
-    SANS_RETURN_IF_ERROR(commit_stage(kStageCandidates, kCandidatesFile));
-    summary.log.push_back("[pipeline] candidates computed and checkpointed");
-  }
-  summary.report.candidates = candidates.SortedPairs();
+  // Stage 2, in main memory.
+  std::optional<CandidateSet> candidates;
+  SANS_ASSIGN_OR_RETURN(
+      summary.reused_candidates,
+      run_stage(kStageCandidates, &candidates, [&] {
+        return miner.Candidates(*artifact, config_.threshold, pool.get());
+      }));
+  summary.report.candidates = candidates->SortedPairs();
   summary.report.num_candidates = summary.report.candidates.size();
 
-  // ---- Stage 3: exact verification (second resilient pass). ----
-  const std::string pairs_path = dir + kPairsFile;
-
-  if (const auto artifact = stage_artifact(kStagePairs)) {
-    Result<std::vector<SimilarPair>> loaded = ReadSimilarPairs(*artifact);
-    if (loaded.ok()) {
-      summary.report.pairs = std::move(loaded).value();
-      summary.reused_pairs = true;
-      summary.log.push_back("[pipeline] reusing checkpointed verified pairs");
-      out.stages[kStagePairs] = prior.stages[kStagePairs];
-    } else {
-      summary.log.push_back(
-          "[pipeline] pairs artifact failed to load; recomputing (" +
-          loaded.status().ToString() + ")");
-    }
-  }
-  if (!summary.reused_pairs) {
-    {
-      ScopedPhase phase(&summary.report.timers, kPhaseVerify);
-      TraceSpan span(&trace, kPhaseVerify, root_span);
-      SANS_ASSIGN_OR_RETURN(
-          summary.report.pairs,
-          VerifyCandidatesParallel(resilient, summary.report.candidates,
-                                   config_.threshold, config_.execution,
-                                   pool.get()));
-    }
-    SANS_RETURN_IF_ERROR(WriteSimilarPairs(summary.report.pairs, pairs_path));
-    SANS_RETURN_IF_ERROR(commit_stage(kStagePairs, kPairsFile));
-    summary.log.push_back("[pipeline] verified pairs checkpointed");
-  }
+  // Stage 3, exact verification in a second resilient pass.
+  std::optional<std::vector<SimilarPair>> pairs;
+  SANS_ASSIGN_OR_RETURN(
+      summary.reused_pairs, run_stage(kStagePairs, &pairs, [&] {
+        return VerifyCandidatesParallel(resilient, summary.report.candidates,
+                                        config_.threshold, config_.execution,
+                                        pool.get());
+      }));
+  summary.report.pairs = std::move(*pairs);
 
   summary.stream_reopens = stats.reopens.load();
   summary.open_failures = stats.open_failures.load();
@@ -567,34 +546,13 @@ Result<PipelineRunSummary> PipelineRunner::Run(
   }
 
   trace.EndSpan(root_span);
-  const MetricsSnapshot metrics_after = MetricsRegistry::Global().Snapshot();
-  RunReport& report = summary.run_report;
-  report.algorithm = PipelineAlgorithmName(config_.algorithm);
-  report.threshold = config_.threshold;
-  report.table_rows = source.num_rows();
-  report.table_cols = source.num_cols();
-  report.threads = config_.execution.num_threads;
-  // PhaseTimer keys sort in pipeline order by construction
-  // ("1-signatures" < "2-candidates" < "3-verify"); reused stages have
-  // no timer entry and are absent, which the report reads as "paid
-  // nothing".
-  for (const auto& [phase, seconds] : summary.report.timers.totals()) {
-    report.phases.push_back(RunReport::Phase{phase, seconds});
-  }
-  report.metric_deltas = CounterDeltas(metrics_before, metrics_after);
-  const auto delta = [&report](const char* name) -> uint64_t {
-    const auto it = report.metric_deltas.find(name);
-    return it == report.metric_deltas.end() ? 0 : it->second;
-  };
-  report.rows_scanned = delta("sans_scan_rows_total");
-  report.candidates_generated = delta("sans_candgen_candidates_total");
-  report.candidates_verified = delta("sans_verify_candidates_total");
-  report.true_positives = delta("sans_verify_true_positives_total");
-  report.false_positives = delta("sans_verify_false_positives_total");
-  report.pairs_emitted = summary.report.pairs.size();
-  report.trace_json = trace.ToJson();
+  summary.run_report = BuildRunReport(
+      PipelineAlgorithmName(config_.algorithm), config_.threshold, source,
+      config_.execution.num_threads, summary.report, metrics_before);
+  summary.run_report.trace_json = trace.ToJson();
   if (!config_.run_report_path.empty()) {
-    SANS_RETURN_IF_ERROR(WriteRunReport(report, config_.run_report_path));
+    SANS_RETURN_IF_ERROR(
+        WriteRunReport(summary.run_report, config_.run_report_path));
     summary.log.push_back("[pipeline] run report written to " +
                           config_.run_report_path);
   }

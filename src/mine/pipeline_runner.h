@@ -26,6 +26,7 @@
 
 #include "matrix/resilient_row_stream.h"
 #include "matrix/row_stream.h"
+#include "obs/metrics.h"
 #include "obs/run_report.h"
 #include "mine/hlsh_miner.h"
 #include "mine/kmh_miner.h"
@@ -132,8 +133,24 @@ class PipelineRunner {
   const PipelineConfig& config() const { return config_; }
 
  private:
+  /// Run() for one staged miner: each stage is the miner's Sketch,
+  /// Candidates, or the shared verifier, persisted as it completes.
+  template <typename StagedMiner>
+  Result<PipelineRunSummary> RunStages(StagedMiner& miner,
+                                       const RowStreamSource& source) const;
+
   PipelineConfig config_;
 };
+
+/// Assembles the run report of one mining run — the CLI's plain
+/// `sans mine` and PipelineRunner both use it: phase wall times from
+/// `mining.timers`, headline counts from the counter deltas in the
+/// global metrics registry since `before`, and the emitted pair count.
+/// `trace_json` is left empty for the caller.
+RunReport BuildRunReport(const std::string& algorithm, double threshold,
+                         const RowStreamSource& source, int threads,
+                         const MiningReport& mining,
+                         const MetricsSnapshot& before);
 
 }  // namespace sans
 

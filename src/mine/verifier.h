@@ -14,6 +14,7 @@
 #include "core/types.h"
 #include "matrix/row_stream.h"
 #include "util/status.h"
+#include "util/thread_pool.h"
 
 namespace sans {
 
@@ -36,9 +37,22 @@ struct VerifiedPair {
 Result<std::vector<VerifiedPair>> CountCandidatePairs(
     RowStream* rows, const std::vector<ColumnPair>& candidates);
 
-/// Convenience: verify candidates against a fresh scan from `source`
-/// and keep only pairs with exact similarity >= threshold, sorted by
-/// descending similarity.
+/// CountCandidatePairs over one scan of `source` fanned out to the
+/// block pipeline's workers (matrix/block_reader.h); per-worker
+/// counters are summed in worker-id order, so the counts are the same
+/// for any thread count. Output order matches `candidates`.
+Result<std::vector<VerifiedPair>> CountCandidatePairsParallel(
+    const RowStreamSource& source, const std::vector<ColumnPair>& candidates,
+    const ExecutionConfig& execution, ThreadPool* pool);
+
+/// Counts via CountCandidatePairsParallel, then keeps pairs with exact
+/// similarity >= threshold, sorted by descending similarity.
+Result<std::vector<SimilarPair>> VerifyCandidatesParallel(
+    const RowStreamSource& source, const std::vector<ColumnPair>& candidates,
+    double threshold, const ExecutionConfig& execution, ThreadPool* pool);
+
+/// VerifyCandidatesParallel on the calling thread (default
+/// ExecutionConfig, no pool).
 Result<std::vector<SimilarPair>> VerifyCandidates(
     const RowStreamSource& source, const std::vector<ColumnPair>& candidates,
     double threshold);

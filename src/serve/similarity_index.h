@@ -57,8 +57,8 @@ struct SimilarityIndexConfig {
   /// Row-hash family for both the band signatures and the sketches.
   HashFamily family = HashFamily::kSplitMix64;
   uint64_t seed = 0;
-  /// Build-time parallelism. num_threads <= 1 runs the sequential
-  /// generators; more threads fan both build passes out on the block
+  /// Build-time parallelism. num_threads <= 1 runs both build passes
+  /// inline on one thread; more threads fan them out on the block
   /// pipeline (bit-identical output for any thread count).
   ExecutionConfig execution;
 

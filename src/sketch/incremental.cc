@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "matrix/block_reader.h"
 #include "sketch/signature_matrix.h"
 #include "sketch/sketch_kernels.h"
 
@@ -18,33 +19,58 @@ IncrementalKMinHashBuilder::IncrementalKMinHashBuilder(
   cardinalities_.assign(num_cols, 0);
 }
 
-Status IncrementalKMinHashBuilder::AddRow(
-    RowId row, std::span<const ColumnId> columns) {
-  if (columns.empty()) {
-    ++rows_ingested_;
-    return Status::OK();
-  }
-  // Shared clamp keeps the empty-column sentinel unreachable, exactly
-  // as on the batch scan paths.
-  const uint64_t value = HashRowClamped(hasher_, row);
+namespace {
+
+Status CheckWidth(std::span<const ColumnId> columns, ColumnId num_cols) {
   for (ColumnId c : columns) {
-    if (c >= num_cols()) {
+    if (c >= num_cols) {
       return Status::OutOfRange("column id exceeds builder width");
     }
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+void IncrementalKMinHashBuilder::Absorb(uint64_t value,
+                                        std::span<const ColumnId> columns) {
+  for (ColumnId c : columns) {
     heaps_[c].Offer(value);
     ++cardinalities_[c];
+  }
+}
+
+Status IncrementalKMinHashBuilder::AddRow(
+    RowId row, std::span<const ColumnId> columns) {
+  SANS_RETURN_IF_ERROR(CheckWidth(columns, num_cols()));
+  if (!columns.empty()) {
+    // Shared clamp keeps the empty-column sentinel unreachable, exactly
+    // as on the batch path.
+    Absorb(HashRowClamped(hasher_, row), columns);
   }
   ++rows_ingested_;
   return Status::OK();
 }
 
+Status IncrementalKMinHashBuilder::AddBlock(const RowBlock& block) {
+  for (size_t i = 0; i < block.size(); ++i) {
+    SANS_RETURN_IF_ERROR(CheckWidth(block.columns(i), num_cols()));
+  }
+  keys_.clear();
+  for (size_t i = 0; i < block.size(); ++i) keys_.push_back(block.row(i));
+  HashBlockClamped(hasher_, keys_, &values_);
+  for (size_t i = 0; i < block.size(); ++i) {
+    Absorb(values_[i], block.columns(i));
+  }
+  rows_ingested_ += block.size();
+  return Status::OK();
+}
+
 Status IncrementalKMinHashBuilder::AddAll(RowStream* rows) {
   SANS_RETURN_IF_ERROR(rows->Reset());
-  RowView view;
-  while (rows->Next(&view)) {
-    SANS_RETURN_IF_ERROR(AddRow(view.row, view.columns));
-  }
-  return rows->stream_status();
+  return ForEachStreamBlock(rows, [this](int, const RowBlock& block) {
+    return AddBlock(block);
+  });
 }
 
 Status IncrementalKMinHashBuilder::Merge(
@@ -72,6 +98,12 @@ KMinHashSketch IncrementalKMinHashBuilder::Snapshot() const {
   KMinHashSketch sketch(config_.k, num_cols());
   for (ColumnId c = 0; c < num_cols(); ++c) {
     std::vector<uint64_t> signature = heaps_[c].SortedValues();
+    // Distinct rows hash to distinct values for the bijective families
+    // (splitmix64, multiply-shift); tabulation can collide, so the
+    // heaps keep duplicates (merging them as multisets keeps merged
+    // builders equal to one builder over all rows) and only the
+    // snapshot deduplicates, preserving the "sample of distinct rows"
+    // semantics of Proposition 2.
     signature.erase(std::unique(signature.begin(), signature.end()),
                     signature.end());
     SANS_CHECK(

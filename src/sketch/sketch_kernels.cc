@@ -1,5 +1,7 @@
 #include "sketch/sketch_kernels.h"
 
+#include "matrix/block_reader.h"
+
 namespace sans {
 
 void HashBlockClamped(const RowHasher& hasher,
@@ -17,6 +19,19 @@ MinHashBlockKernel::MinHashBlockKernel(const HashFunctionBank* bank,
   columns_.reserve(kSketchBlockRows);
   hashes_.reserve(kSketchBlockRows *
                   static_cast<size_t>(signatures->num_hashes()));
+}
+
+void MinHashBlockKernel::Process(const RowBlock& block) {
+  for (size_t i = 0; i < block.size(); ++i) {
+    const std::span<const ColumnId> columns = block.columns(i);
+    // Empty rows touch no column; skip the k hash evaluations (matters
+    // for shingle matrices whose row space is mostly empty buckets).
+    if (columns.empty()) continue;
+    keys_.push_back(block.row(i));
+    columns_.push_back(columns);
+    if (keys_.size() >= kSketchBlockRows) Flush();
+  }
+  Flush();  // the borrowed column spans die with `block`
 }
 
 void MinHashBlockKernel::Flush() {

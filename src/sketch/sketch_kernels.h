@@ -1,9 +1,9 @@
 // Shared hot-path kernels for sketch generation. Every consumer that
-// feeds row hashes into a min-type sketch — Min-Hash signatures,
-// bottom-k sketches, the incremental builder, and their parallel
-// block-pipeline counterparts — goes through the clamped kernels in
-// this header, so the kEmptyMinHash sentinel clamp lives in exactly
-// one place and cannot be missed by a new call site.
+// feeds row hashes into a min-type sketch — Min-Hash signatures and
+// the incremental bottom-k builder, whichever entry point feeds them —
+// goes through the clamped kernels in this header, so the
+// kEmptyMinHash sentinel clamp lives in exactly one place and cannot
+// be missed by a new call site.
 //
 // The Min-Hash kernel also fixes the memory-access pattern of the
 // signature update. The naive loop (for each row: for each column:
@@ -30,6 +30,8 @@
 #include "util/hashing.h"
 
 namespace sans {
+
+class RowBlock;  // matrix/block_reader.h
 
 /// Rows buffered per flush of the blocked kernels. Bounds the hash
 /// scratch at num_hashes * kSketchBlockRows * 8 bytes (200 KiB at
@@ -60,9 +62,8 @@ void HashBlockClamped(const RowHasher& hasher,
 /// Blocked Min-Hash signature updater. Bind it to a bank and a target
 /// matrix, then feed it row blocks; it buffers up to kSketchBlockRows
 /// non-empty rows, batch-hashes their ids under all k functions, and
-/// flushes the min-updates transposed (hash-major). Accepts any block
-/// type exposing size() / row(i) / columns(i) — both the sequential
-/// accumulation buffer and the parallel pipeline's RowBlock qualify.
+/// flushes the min-updates transposed (hash-major). One kernel per
+/// block-pipeline worker (matrix/block_reader.h).
 ///
 /// Column spans handed in via Process() are only borrowed while the
 /// call runs; every Process() call drains its own buffer before
@@ -72,20 +73,7 @@ class MinHashBlockKernel {
   MinHashBlockKernel(const HashFunctionBank* bank,
                      SignatureMatrix* signatures);
 
-  template <typename Block>
-  void Process(const Block& block) {
-    for (size_t i = 0; i < block.size(); ++i) {
-      const std::span<const ColumnId> columns = block.columns(i);
-      // Empty rows touch no column; skip the k hash evaluations
-      // (matters for shingle matrices whose row space is mostly empty
-      // buckets).
-      if (columns.empty()) continue;
-      keys_.push_back(block.row(i));
-      columns_.push_back(columns);
-      if (keys_.size() >= kSketchBlockRows) Flush();
-    }
-    Flush();  // the borrowed column spans die with `block`
-  }
+  void Process(const RowBlock& block);
 
  private:
   /// Batch-hashes the buffered keys and applies the transposed

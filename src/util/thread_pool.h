@@ -29,9 +29,9 @@
 
 namespace sans {
 
-// Knobs of the parallel execution engine. `num_threads == 1` selects
-// the sequential reference path everywhere (no pool, no queue), so a
-// single-threaded run exercises exactly the code the paper describes.
+// Knobs of the parallel execution engine. `num_threads == 1` runs
+// every phase as one worker inline on the calling thread (no pool, no
+// queue): the same kernels as any other thread count.
 struct ExecutionConfig {
   // Worker threads for the row fan-out in phases 1/3 and the
   // Hash-Count column chunks / LSH bands in phase 2.
@@ -83,7 +83,7 @@ class ThreadPool {
 
 // Creates a pool when `config` asks for parallelism; returns nullptr
 // for num_threads <= 1, which every engine entry point treats as
-// "run the sequential reference path".
+// "one worker, run inline on the calling thread".
 std::unique_ptr<ThreadPool> MaybeCreatePool(const ExecutionConfig& config);
 
 }  // namespace sans

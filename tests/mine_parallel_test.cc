@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -9,6 +10,8 @@
 #include "data/weblog_generator.h"
 #include "matrix/row_stream.h"
 #include "mine/verifier.h"
+#include "sketch/sketch_kernels.h"
+#include "util/hashing.h"
 
 namespace sans {
 namespace {
@@ -44,7 +47,7 @@ auto WithPool(int threads, Fn&& fn) {
 }
 
 // The thread counts the invariance property is asserted over; 1 is
-// the sequential reference path.
+// one worker running inline on the calling thread.
 const int kThreadCounts[] = {1, 2, 3, 4, 8};
 
 class ParallelMinHashTest : public ::testing::TestWithParam<int> {};
@@ -62,7 +65,8 @@ TEST_P(ParallelMinHashTest, MatchesSequentialBitForBit) {
   });
   ASSERT_TRUE(parallel.ok());
 
-  // Sequential reference: the plain generator.
+  // The RowStream* generator: the same kernel, fed by the inline
+  // block loop.
   MinHashGenerator generator(config);
   InMemoryRowStream stream(&m);
   auto sequential = generator.Compute(&stream);
@@ -70,6 +74,39 @@ TEST_P(ParallelMinHashTest, MatchesSequentialBitForBit) {
   for (int l = 0; l < 32; ++l) {
     for (ColumnId c = 0; c < m.num_cols(); ++c) {
       ASSERT_EQ(parallel->Value(l, c), sequential->Value(l, c))
+          << "threads=" << threads << " l=" << l << " c=" << c;
+    }
+  }
+}
+
+// Independent reference: per row, per column, per hash function,
+// through the checked MinUpdate — no block, kernel or merge in common
+// with the code under test.
+TEST_P(ParallelMinHashTest, MatchesNaivePerRowLoop) {
+  const int threads = GetParam();
+  const BinaryMatrix m = TestMatrix();
+  InMemorySource source(&m);
+  MinHashConfig config;
+  config.num_hashes = 12;
+  config.seed = 31;
+
+  auto parallel = WithPool(threads, [&](const auto& exec, ThreadPool* pool) {
+    return ComputeMinHashParallel(source, config, exec, pool);
+  });
+  ASSERT_TRUE(parallel.ok());
+
+  const HashFunctionBank bank(config.family, config.num_hashes, config.seed);
+  SignatureMatrix naive(config.num_hashes, m.num_cols());
+  for (RowId r = 0; r < m.num_rows(); ++r) {
+    for (ColumnId c : m.Row(r)) {
+      for (int l = 0; l < config.num_hashes; ++l) {
+        naive.MinUpdate(l, c, ClampRowHash(bank.Hash(l, r)));
+      }
+    }
+  }
+  for (int l = 0; l < config.num_hashes; ++l) {
+    for (ColumnId c = 0; c < m.num_cols(); ++c) {
+      ASSERT_EQ(parallel->Value(l, c), naive.Value(l, c))
           << "threads=" << threads << " l=" << l << " c=" << c;
     }
   }
@@ -112,6 +149,46 @@ TEST_P(ParallelKMinHashTest, MatchesSequentialBitForBit) {
       }
       EXPECT_EQ(parallel->ColumnCardinality(c),
                 sequential->ColumnCardinality(c))
+          << "threads=" << threads << " c=" << c;
+    }
+  }
+}
+
+// Independent reference: every clamped row hash of a column, sorted,
+// cut to the k smallest and deduplicated — no heap or merge.
+TEST_P(ParallelKMinHashTest, MatchesSortedColumnHashes) {
+  const int threads = GetParam();
+  const BinaryMatrix m = TestMatrix();
+  InMemorySource source(&m);
+  for (HashFamily family :
+       {HashFamily::kSplitMix64, HashFamily::kTabulation}) {
+    KMinHashConfig config;
+    config.k = 25;
+    config.family = family;
+    config.seed = 17;
+
+    auto parallel = WithPool(threads, [&](const auto& exec, ThreadPool* pool) {
+      return ComputeKMinHashParallel(source, config, exec, pool);
+    });
+    ASSERT_TRUE(parallel.ok());
+
+    const RowHasher hasher(config.family, config.seed);
+    std::vector<std::vector<uint64_t>> hashes(m.num_cols());
+    for (RowId r = 0; r < m.num_rows(); ++r) {
+      for (ColumnId c : m.Row(r)) {
+        hashes[c].push_back(ClampRowHash(hasher.Hash(r)));
+      }
+    }
+    for (ColumnId c = 0; c < m.num_cols(); ++c) {
+      std::vector<uint64_t> expected = hashes[c];
+      std::sort(expected.begin(), expected.end());
+      expected.resize(std::min<size_t>(expected.size(), config.k));
+      expected.erase(std::unique(expected.begin(), expected.end()),
+                     expected.end());
+      const auto actual = parallel->Signature(c);
+      ASSERT_EQ(std::vector<uint64_t>(actual.begin(), actual.end()), expected)
+          << "threads=" << threads << " c=" << c;
+      EXPECT_EQ(parallel->ColumnCardinality(c), hashes[c].size())
           << "threads=" << threads << " c=" << c;
     }
   }
@@ -167,6 +244,35 @@ TEST_P(ParallelVerifyTest, VerifyCandidatesMatchesSequential) {
     EXPECT_EQ((*parallel)[i].pair, (*sequential)[i].pair);
     EXPECT_DOUBLE_EQ((*parallel)[i].similarity,
                      (*sequential)[i].similarity);
+  }
+}
+
+// Independent reference: the matrix's own column-major intersection,
+// with |A ∪ B| = |A| + |B| - |A ∩ B|.
+TEST_P(ParallelVerifyTest, CountsMatchMatrixIntersectionAndUnion) {
+  const int threads = GetParam();
+  const BinaryMatrix m = TestMatrix();
+  InMemorySource source(&m);
+  std::vector<ColumnPair> candidates;
+  for (ColumnId c = 0; c + 5 < m.num_cols(); c += 2) {
+    candidates.push_back(ColumnPair(c, c + 5));
+    candidates.push_back(ColumnPair(c, c + 1));
+  }
+
+  auto counted = WithPool(threads, [&](const auto& exec, ThreadPool* pool) {
+    return CountCandidatePairsParallel(source, candidates, exec, pool);
+  });
+  ASSERT_TRUE(counted.ok());
+  ASSERT_EQ(counted->size(), candidates.size());
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    const auto [a, b] = candidates[i];
+    const uint64_t intersection = m.IntersectionSize(a, b);
+    EXPECT_EQ((*counted)[i].pair, candidates[i]);
+    EXPECT_EQ((*counted)[i].intersection_count, intersection)
+        << "threads=" << threads << " i=" << i;
+    EXPECT_EQ((*counted)[i].union_count,
+              m.ColumnCardinality(a) + m.ColumnCardinality(b) - intersection)
+        << "threads=" << threads << " i=" << i;
   }
 }
 

@@ -482,5 +482,67 @@ TEST_F(PipelineRunnerTest, CorruptCandidateArtifactRejected) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
 }
 
+// The miner a pipeline config selects, with the pipeline's execution
+// knobs, mined directly.
+Result<MiningReport> MineDirectly(const PipelineConfig& config,
+                                  const RowStreamSource& source) {
+  switch (config.algorithm) {
+    case PipelineAlgorithm::kMh: {
+      MhMinerConfig miner = config.mh;
+      miner.execution = config.execution;
+      return MhMiner(miner).Mine(source, config.threshold);
+    }
+    case PipelineAlgorithm::kKmh: {
+      KmhMinerConfig miner = config.kmh;
+      miner.execution = config.execution;
+      return KmhMiner(miner).Mine(source, config.threshold);
+    }
+    case PipelineAlgorithm::kMlsh: {
+      MlshMinerConfig miner = config.mlsh;
+      miner.execution = config.execution;
+      return MlshMiner(miner).Mine(source, config.threshold);
+    }
+    case PipelineAlgorithm::kHlsh: {
+      HlshMinerConfig miner = config.hlsh;
+      miner.execution = config.execution;
+      return HlshMiner(miner).Mine(source, config.threshold);
+    }
+  }
+  return Status::InvalidArgument("unknown algorithm");
+}
+
+TEST_F(PipelineRunnerTest, EveryAlgorithmScansTheTableExactlyTwice) {
+  // Phase 1 (signatures, or H-LSH's materialization) and phase 3 each
+  // read every row exactly once, whichever entry point and thread
+  // count ran them.
+  const BinaryMatrix m = TestMatrix();
+  InMemorySource source(&m);
+  for (PipelineAlgorithm algorithm :
+       {PipelineAlgorithm::kMh, PipelineAlgorithm::kKmh,
+        PipelineAlgorithm::kMlsh, PipelineAlgorithm::kHlsh}) {
+    const std::string name = PipelineAlgorithmName(algorithm);
+    for (int threads : {1, 2}) {
+      PipelineConfig config = AlgorithmConfig(
+          algorithm, Path(name + "_t" + std::to_string(threads)));
+      config.execution.num_threads = threads;
+      config.execution.block_rows = 64;
+      auto run = PipelineRunner(config).Run(source);
+      ASSERT_TRUE(run.ok()) << name << " threads=" << threads;
+      EXPECT_EQ(run->run_report.rows_scanned, 2u * m.num_rows())
+          << "pipeline " << name << " threads=" << threads;
+
+      const MetricsSnapshot before = MetricsRegistry::Global().Snapshot();
+      auto mined = MineDirectly(config, source);
+      ASSERT_TRUE(mined.ok()) << name << " threads=" << threads;
+      const RunReport report = BuildRunReport(name, config.threshold, source,
+                                              threads, *mined, before);
+      EXPECT_EQ(report.rows_scanned, 2u * m.num_rows())
+          << "miner " << name << " threads=" << threads;
+      EXPECT_EQ(report.pairs_emitted, mined->pairs.size());
+      EXPECT_EQ(report.true_positives, mined->pairs.size());
+    }
+  }
+}
+
 }  // namespace
 }  // namespace sans

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "data/weblog_generator.h"
+#include "matrix/block_reader.h"
 #include "matrix/row_stream.h"
 #include "sketch/estimators.h"
 
@@ -154,6 +155,54 @@ TEST(IncrementalKMinHashTest, RejectsOutOfRangeColumns) {
   IncrementalKMinHashBuilder builder(config, 3);
   const ColumnId bad[] = {5};
   EXPECT_EQ(builder.AddRow(0, bad).code(), StatusCode::kOutOfRange);
+}
+
+TEST(IncrementalKMinHashTest, RejectedRowLeavesBuilderUnchanged) {
+  KMinHashConfig config;
+  config.k = 2;
+  IncrementalKMinHashBuilder builder(config, 3);
+  const ColumnId good[] = {0, 1, 2};
+  ASSERT_TRUE(builder.AddRow(0, good).ok());
+  ASSERT_TRUE(builder.AddRow(1, good).ok());
+  const KMinHashSketch before = builder.Snapshot();
+
+  // The out-of-range id comes last, after ids whose heaps and
+  // cardinalities a half-applied row would already have changed.
+  const ColumnId bad[] = {0, 1, 3};
+  EXPECT_EQ(builder.AddRow(2, bad).code(), StatusCode::kOutOfRange);
+  ExpectSameSketch(builder.Snapshot(), before);
+  EXPECT_EQ(builder.rows_ingested(), 2u);
+
+  // A block is rejected whole, including its valid leading row.
+  RowBlock block;
+  block.Append(3, good);
+  block.Append(4, bad);
+  EXPECT_EQ(builder.AddBlock(block).code(), StatusCode::kOutOfRange);
+  ExpectSameSketch(builder.Snapshot(), before);
+  EXPECT_EQ(builder.rows_ingested(), 2u);
+}
+
+TEST(IncrementalKMinHashTest, AddBlockMatchesRowAtATime) {
+  const WeblogDataset data = TestData();
+  KMinHashConfig config;
+  config.k = 16;
+  config.family = HashFamily::kTabulation;
+  config.seed = 9;
+
+  IncrementalKMinHashBuilder by_row(config, data.matrix.num_cols());
+  IncrementalKMinHashBuilder by_block(config, data.matrix.num_cols());
+  RowBlock block;
+  for (RowId r = 0; r < data.matrix.num_rows(); ++r) {
+    ASSERT_TRUE(by_row.AddRow(r, data.matrix.Row(r)).ok());
+    block.Append(r, data.matrix.Row(r));
+    if (block.size() == 100) {
+      ASSERT_TRUE(by_block.AddBlock(block).ok());
+      block.Clear();
+    }
+  }
+  ASSERT_TRUE(by_block.AddBlock(block).ok());
+  ExpectSameSketch(by_block.Snapshot(), by_row.Snapshot());
+  EXPECT_EQ(by_block.rows_ingested(), by_row.rows_ingested());
 }
 
 TEST(IncrementalKMinHashTest, EmptyRowsCountOnlyIngestion) {

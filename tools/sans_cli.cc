@@ -125,7 +125,7 @@ int Fail(const Status& status) {
 }
 
 /// --threads / --block-rows. Defaults to every hardware thread;
-/// --threads 1 forces the sequential reference path. Output is
+/// --threads 1 runs every phase inline on one thread. Output is
 /// bit-identical either way.
 Result<ExecutionConfig> ParseExecution(const Args& args) {
   ExecutionConfig execution;
@@ -362,8 +362,8 @@ int RunMine(const Args& args) {
   auto execution = ParseExecution(args);
   if (!execution.ok()) return Fail(execution.status());
 
-  // Counter deltas across the miner call feed the run report; the
-  // checkpointed path gets the same report from PipelineRunner.
+  // Counter deltas across the miner call feed the run report, built by
+  // the same BuildRunReport as the checkpointed path's.
   const MetricsSnapshot metrics_before =
       MetricsRegistry::Global().Snapshot();
 
@@ -437,27 +437,9 @@ int RunMine(const Args& args) {
   }
   if (!report.ok()) return Fail(report.status());
 
-  RunReport run_report;
-  run_report.algorithm = algorithm;
-  run_report.threshold = threshold;
-  run_report.table_rows = matrix->num_rows();
-  run_report.table_cols = matrix->num_cols();
-  run_report.threads = execution->num_threads;
-  for (const auto& [phase, seconds] : report->timers.totals()) {
-    run_report.phases.push_back(RunReport::Phase{phase, seconds});
-  }
-  run_report.metric_deltas = CounterDeltas(
-      metrics_before, MetricsRegistry::Global().Snapshot());
-  const auto delta = [&run_report](const char* name) -> uint64_t {
-    const auto it = run_report.metric_deltas.find(name);
-    return it == run_report.metric_deltas.end() ? 0 : it->second;
-  };
-  run_report.rows_scanned = delta("sans_scan_rows_total");
-  run_report.candidates_generated = delta("sans_candgen_candidates_total");
-  run_report.candidates_verified = delta("sans_verify_candidates_total");
-  run_report.true_positives = delta("sans_verify_true_positives_total");
-  run_report.false_positives = delta("sans_verify_false_positives_total");
-  run_report.pairs_emitted = report->pairs.size();
+  const RunReport run_report =
+      BuildRunReport(algorithm, threshold, source, execution->num_threads,
+                     *report, metrics_before);
   if (args.Has("run-report")) {
     const std::string path = args.Require("run-report");
     if (const Status s = WriteRunReport(run_report, path); !s.ok()) {
