@@ -1,9 +1,7 @@
 // Benchmark of phase 2 (candidate generation). Times, on in-memory
 // sketches:
-//  * the two Section 3.1 algorithms over one min-hash signature matrix
-//    (row-sort vs hash-count, the DESIGN.md ablation) at three
-//    agreement thresholds, asserting they return the same pairs and
-//    counts;
+//  * Min-Hash hash-count (which row-sorting also runs) over one
+//    min-hash signature matrix at three agreement thresholds;
 //  * banded Min-LSH bucketing over the same matrix, for scale;
 //  * adaptive K-MH hash-count (k=100, the K-MH miner's fraction 0.25
 //    at s*=0.5) on a Zipf news table at 1 and 2 threads, asserting
@@ -26,7 +24,6 @@
 #include "bench_common.h"
 #include "candgen/hash_count.h"
 #include "candgen/min_lsh.h"
-#include "candgen/row_sort.h"
 #include "data/news_generator.h"
 #include "data/synthetic_generator.h"
 #include "matrix/row_stream.h"
@@ -114,30 +111,21 @@ int Main(int argc, char** argv) {
     return &results.back();
   };
 
-  // Row-sort vs hash-count vs Min-LSH on one signature matrix.
+  // Hash-count and Min-LSH on one signature matrix.
   RowId synthetic_rows = 0;
   const SignatureMatrix signatures =
       SyntheticSignatures(smoke, &synthetic_rows);
   std::fprintf(stderr, "[bench] min-hash signatures: k=%d, %u columns\n",
                signatures.num_hashes(), signatures.num_cols());
   for (int min_agreements : {6, 15, 30}) {
-    const std::string suffix = "_a" + std::to_string(min_agreements);
-    double sort_seconds = 0.0;
-    const CandidateSet via_sort = TimeBestOf(repetitions, &sort_seconds, [&] {
-      return RowSorter(&signatures).Candidates(min_agreements);
-    });
-    double count_seconds = 0.0;
-    const CandidateSet via_count = TimeBestOf(
-        repetitions, &count_seconds,
+    double seconds = 0.0;
+    const CandidateSet candidates = TimeBestOf(
+        repetitions, &seconds,
         [&] { return HashCountMinHash(signatures, min_agreements); });
-    SANS_CHECK(via_sort.SortedEntries() == via_count.SortedEntries());
-    emit("rowsort" + suffix, 1, synthetic_rows, sort_seconds);
-    emit("hashcount_mh" + suffix, 1, synthetic_rows, count_seconds);
-    std::fprintf(stderr,
-                 "[bench] a=%d: row-sort %.4fs, hash-count %.4fs, %zu "
-                 "candidates, outputs identical\n",
-                 min_agreements, sort_seconds, count_seconds,
-                 via_count.size());
+    emit("hashcount_mh_a" + std::to_string(min_agreements), 1, synthetic_rows,
+         seconds);
+    std::fprintf(stderr, "[bench] a=%d: hash-count %.4fs, %zu candidates\n",
+                 min_agreements, seconds, candidates.size());
   }
   for (int r : {4, 6, 10}) {
     MinLshConfig config;

@@ -1,8 +1,8 @@
 // CandidateSet: the deduplicated pair set produced by phase 2
 // (candidate generation) and consumed by phase 3 (verification).
-// Generators that count evidence (row-sort agreements, hash-count
-// signature intersections) accumulate per-pair counts; bucket-based
-// LSH generators just record presence.
+// Every generator attaches a per-pair evidence count: row agreements
+// (MH), signature intersections (K-MH), or the number of bands / runs
+// a pair collided in (the LSH schemes).
 
 #ifndef SANS_CANDGEN_CANDIDATE_SET_H_
 #define SANS_CANDGEN_CANDIDATE_SET_H_

@@ -1,9 +1,9 @@
 #include "candgen/hamming_lsh.h"
 
-#include <unordered_map>
+#include <algorithm>
 
+#include "candgen/flat_buckets.h"
 #include "matrix/or_fold.h"
-#include "obs/metrics.h"
 #include "util/hashing.h"
 #include "util/random.h"
 
@@ -33,11 +33,11 @@ HammingLshCandidateGenerator::HammingLshCandidateGenerator(
 
 CandidateSet HammingLshCandidateGenerator::Generate(
     const BinaryMatrix& matrix) const {
-  return GenerateWithStats(matrix, nullptr);
+  return Generate(matrix, nullptr, nullptr).value();
 }
 
-CandidateSet HammingLshCandidateGenerator::GenerateWithStats(
-    const BinaryMatrix& matrix,
+Result<CandidateSet> HammingLshCandidateGenerator::Generate(
+    const BinaryMatrix& matrix, ThreadPool* pool,
     std::vector<HammingLshLevelStats>* stats) const {
   Xoshiro256 pyramid_rng(Mix64(config_.seed));
   const std::vector<BinaryMatrix> pyramid = BuildOrFoldPyramid(
@@ -46,61 +46,62 @@ CandidateSet HammingLshCandidateGenerator::GenerateWithStats(
   const double lo = 1.0 / config_.density_band;
   const double hi =
       static_cast<double>(config_.density_band - 1) / config_.density_band;
+  const ColumnId num_cols = matrix.num_cols();
+  const size_t num_runs = static_cast<size_t>(config_.num_runs);
+  const size_t num_tables = pyramid.size() * num_runs;
 
-  CandidateSet candidates;
-  std::vector<uint64_t> keys;
-  std::vector<ColumnId> eligible;
-  std::unordered_map<uint64_t, std::vector<ColumnId>> buckets;
-  for (size_t level = 0; level < pyramid.size(); ++level) {
-    const BinaryMatrix& m = pyramid[level];
-    eligible.clear();
-    for (ColumnId c = 0; c < m.num_cols(); ++c) {
-      const double d = m.ColumnDensity(c);
-      if (d > lo && d < hi) eligible.push_back(c);
-    }
-    HammingLshLevelStats level_stats;
-    level_stats.level = static_cast<int>(level);
-    level_stats.rows = m.num_rows();
-    level_stats.eligible_columns = static_cast<ColumnId>(eligible.size());
-
-    if (!eligible.empty()) {
-      Xoshiro256 run_rng(
-          Mix64(config_.seed ^ (0xa0761d6478bd642fULL * (level + 1))));
-      const int r = std::min<int>(config_.rows_per_run,
-                                  static_cast<int>(m.num_rows()));
-      for (int run = 0; run < config_.num_runs; ++run) {
+  // Table level·num_runs + run holds the eligible columns of the level,
+  // keyed by their r-bit patterns over the run's sampled rows; a pair's
+  // count is the number of tables it collided in. Tables arrive in
+  // order, so each level's first run sets up the level.
+  std::vector<HammingLshLevelStats> level_stats(pyramid.size());
+  std::vector<uint8_t> eligible(num_cols);
+  std::vector<uint64_t> patterns(num_cols);
+  Xoshiro256 run_rng(0);
+  const FlatBuckets buckets(
+      num_cols, static_cast<uint32_t>(num_tables), 0,
+      [&](uint32_t table, const auto& add) {
+        const size_t level = table / num_runs;
+        const BinaryMatrix& m = pyramid[level];
+        HammingLshLevelStats& this_level = level_stats[level];
+        if (table % num_runs == 0) {
+          this_level.level = static_cast<int>(level);
+          this_level.rows = m.num_rows();
+          for (ColumnId c = 0; c < num_cols; ++c) {
+            const double d = m.ColumnDensity(c);
+            eligible[c] = d > lo && d < hi;
+            this_level.eligible_columns += eligible[c];
+          }
+          run_rng = Xoshiro256(
+              Mix64(config_.seed ^ (0xa0761d6478bd642fULL * (level + 1))));
+        }
+        if (this_level.eligible_columns == 0) return;
+        const int r = std::min<int>(config_.rows_per_run,
+                                    static_cast<int>(m.num_rows()));
         const std::vector<uint64_t> sample =
             run_rng.SampleWithoutReplacement(m.num_rows(), r);
-        // Build each eligible column's r-bit pattern by scanning the
-        // sampled rows once (row-major access; no column-major view
-        // needed at fold levels).
-        keys.assign(m.num_cols(), 0);
+        // Build each column's pattern by scanning the sampled rows once
+        // (row-major access; no column-major view needed at fold levels).
+        std::fill(patterns.begin(), patterns.end(), 0);
         for (int bit = 0; bit < r; ++bit) {
           for (ColumnId c : m.Row(static_cast<RowId>(sample[bit]))) {
-            keys[c] |= uint64_t{1} << bit;
+            patterns[c] |= uint64_t{1} << bit;
           }
         }
-        buckets.clear();
-        for (ColumnId c : eligible) {
-          if (config_.skip_zero_keys && keys[c] == 0) continue;
-          buckets[keys[c]].push_back(c);
+        for (ColumnId c = 0; c < num_cols; ++c) {
+          if (!eligible[c]) continue;
+          if (config_.skip_zero_keys && patterns[c] == 0) continue;
+          add(c, patterns[c]);
         }
-        for (const auto& [key, cols] : buckets) {
-          for (size_t a = 0; a < cols.size(); ++a) {
-            for (size_t b = a + 1; b < cols.size(); ++b) {
-              candidates.Add(ColumnPair(cols[a], cols[b]));
-              ++level_stats.candidate_pairs;
-            }
-          }
-        }
-      }
-    }
-    if (stats != nullptr) stats->push_back(level_stats);
+      });
+  for (size_t table = 0; table < num_tables; ++table) {
+    level_stats[table / num_runs].candidate_pairs +=
+        buckets.run_stats()[table].pairs;
   }
-  MetricsRegistry::Global()
-      .GetCounter("sans_candgen_candidates_total")
-      ->Increment(candidates.size());
-  return candidates;
+  if (stats != nullptr) {
+    stats->insert(stats->end(), level_stats.begin(), level_stats.end());
+  }
+  return buckets.Count(pool, KeepEveryPair());
 }
 
 }  // namespace sans

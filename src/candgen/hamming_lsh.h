@@ -11,6 +11,11 @@
 //     sampled rows are identical in at least one run.
 //
 // The paper uses t = 4 in its experiments.
+//
+// Bucketing runs on the flat sorted-bucket engine
+// (candgen/flat_buckets.h) with one table per (level, run): an eligible
+// column's key is its r-bit pattern, every colliding pair is kept, and
+// a pair's count is the number of (level, run) tables it collided in.
 
 #ifndef SANS_CANDGEN_HAMMING_LSH_H_
 #define SANS_CANDGEN_HAMMING_LSH_H_
@@ -21,6 +26,7 @@
 #include "candgen/candidate_set.h"
 #include "matrix/binary_matrix.h"
 #include "util/status.h"
+#include "util/thread_pool.h"
 
 namespace sans {
 
@@ -68,9 +74,12 @@ class HammingLshCandidateGenerator {
   /// (level, run) combinations produced each pair.
   CandidateSet Generate(const BinaryMatrix& matrix) const;
 
-  /// As Generate, also reporting per-level statistics.
-  CandidateSet GenerateWithStats(
-      const BinaryMatrix& matrix,
+  /// As Generate, with the engine's probing chunks spread over `pool`
+  /// (null: inline on the calling thread), appending one entry per
+  /// pyramid level to `stats` when it is non-null. Output is identical
+  /// for any pool.
+  Result<CandidateSet> Generate(
+      const BinaryMatrix& matrix, ThreadPool* pool,
       std::vector<HammingLshLevelStats>* stats) const;
 
   const HammingLshConfig& config() const { return config_; }

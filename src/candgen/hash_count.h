@@ -11,21 +11,9 @@
 //    the number of rows on which the columns agree (same quantity
 //    row-sorting computes).
 //
-// All variants, sequential and parallel, run one engine (see
-// hash_count.cc):
-//  1. Flat bucket index. Every signature key (table, value, column) is
-//     written to one flat array and sorted into contiguous runs of
-//     equal (table, value); each column's key slots remember where
-//     they landed. A run's prefix before column i's entry is exactly
-//     the bucket of earlier columns that the paper's sweep probes.
-//  2. Column-partitioned probing. The columns are split into fixed
-//     chunks of kHashCountChunkCols. For each column i of a chunk, a
-//     worker walks the run prefixes of i's slots into a touched-counter
-//     array. One worker sees all of column i's collisions, so every
-//     pair's count is exact where it is produced and the variant's
-//     threshold is applied right there. Chunk outputs are concatenated
-//     in chunk order, so the result does not depend on the thread
-//     count.
+// Every variant is a key and threshold function over the flat
+// sorted-bucket engine (candgen/flat_buckets.h), which counts each
+// pair exactly at any thread count.
 //
 // Uniform empty-column rule: a column that contributes no bucket keys
 // — an empty K-MH signature, or an all-sentinel min-hash column — is
@@ -39,17 +27,13 @@
 #include <cstdint>
 
 #include "candgen/candidate_set.h"
+#include "candgen/flat_buckets.h"
 #include "sketch/k_min_hash.h"
 #include "sketch/signature_matrix.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 
 namespace sans {
-
-/// Columns per probe chunk: the unit of work one worker takes. A
-/// constant of the engine, not a tuning knob; outputs do not depend
-/// on it.
-inline constexpr ColumnId kHashCountChunkCols = 256;
 
 /// Pairs with |SIG_i ∩ SIG_j| >= min_intersection, evidence = the
 /// intersection size. min_intersection must be >= 1.
@@ -67,16 +51,15 @@ CandidateSet HashCountKMinHashAdaptive(const KMinHashSketch& sketch,
                                        double fraction);
 
 /// Pairs agreeing on at least `min_agreements` of the k min-hash rows,
-/// evidence = the agreement count. Identical output to
-/// RowSorter::Candidates — kept as an independent implementation and
-/// cross-checked in tests (and raced in bench/micro_candgen).
+/// evidence = the agreement count (the quantity row-sorting computes;
+/// RowSorter::Candidates is this function).
 CandidateSet HashCountMinHash(const SignatureMatrix& signatures,
                               int min_agreements);
 
-/// Parallel variants: the chunks of probing columns are spread over
-/// `pool` with ParallelFor; a null pool probes them inline on the
-/// calling thread, which is exactly the sequential variant. Output is
-/// identical for any pool.
+/// Parallel variants: the engine's chunks of probing columns are spread
+/// over `pool`; a null pool probes them inline on the calling thread,
+/// which is exactly the sequential variant. Output is identical for
+/// any pool.
 Result<CandidateSet> HashCountKMinHashParallel(const KMinHashSketch& sketch,
                                                uint64_t min_intersection,
                                                ThreadPool* pool);
@@ -86,6 +69,10 @@ Result<CandidateSet> HashCountKMinHashAdaptiveParallel(
 
 Result<CandidateSet> HashCountMinHashParallel(
     const SignatureMatrix& signatures, int min_agreements, ThreadPool* pool);
+
+/// The Min-Hash bucket index: table l holds each non-empty column's
+/// value in row l of M̂. Its run statistics give row-sorting's cost.
+FlatBuckets MinHashBuckets(const SignatureMatrix& signatures);
 
 }  // namespace sans
 

@@ -1,7 +1,8 @@
 #include "candgen/min_lsh.h"
 
-#include <unordered_map>
+#include <algorithm>
 
+#include "candgen/flat_buckets.h"
 #include "obs/metrics.h"
 #include "util/hashing.h"
 #include "util/random.h"
@@ -47,50 +48,6 @@ std::vector<int> MinLshCandidateGenerator::BandIndices(int band,
   return indices;
 }
 
-void MinLshCandidateGenerator::CollectBandCandidates(
-    const SignatureMatrix& signatures, int band, CandidateSet* out) const {
-  const int k = signatures.num_hashes();
-  const ColumnId m = signatures.num_cols();
-  const std::vector<int> indices = BandIndices(band, k);
-  std::unordered_map<uint64_t, std::vector<ColumnId>> buckets;
-  buckets.reserve(m);
-  for (ColumnId c = 0; c < m; ++c) {
-    if (signatures.ColumnEmpty(c)) continue;
-    // Band key: order-sensitive combination of the r values. Seeded
-    // by the band id so identical keys in different bands land in
-    // independent bucket spaces.
-    uint64_t key = Mix64(0xb5ad4eceda1ce2a9ULL + band);
-    for (int idx : indices) {
-      key = CombineHashes(key, signatures.Value(idx, c));
-    }
-    buckets[key].push_back(c);
-  }
-  uint64_t emitted = 0;
-  for (const auto& [key, cols] : buckets) {
-    // All pairs within a bucket are candidates (paper: "all columns
-    // that hash into the same bucket are pairwise declared
-    // candidates").
-    for (size_t a = 0; a < cols.size(); ++a) {
-      for (size_t b = a + 1; b < cols.size(); ++b) {
-        out->Add(ColumnPair(cols[a], cols[b]));
-        ++emitted;
-      }
-    }
-  }
-  // Shared by the sequential loop and the per-band ParallelFor; the
-  // counters are atomic, so concurrent bands add up correctly.
-  MetricsRegistry& registry = MetricsRegistry::Global();
-  static Counter* const bands_counter =
-      registry.GetCounter("sans_candgen_bands_total");
-  static Counter* const buckets_counter =
-      registry.GetCounter("sans_candgen_buckets_total");
-  static Counter* const bucket_pairs_counter =
-      registry.GetCounter("sans_candgen_bucket_pairs_total");
-  bands_counter->Increment();
-  buckets_counter->Increment(buckets.size());
-  bucket_pairs_counter->Increment(emitted);
-}
-
 Result<CandidateSet> MinLshCandidateGenerator::Generate(
     const SignatureMatrix& signatures) const {
   return Generate(signatures, nullptr);
@@ -107,36 +64,44 @@ Result<CandidateSet> MinLshCandidateGenerator::Generate(
   if (k <= 0) {
     return Status::InvalidArgument("signature matrix has no hash rows");
   }
+  const ColumnId m = signatures.num_cols();
 
-  if (pool != nullptr && pool->num_threads() > 1) {
-    // One candidate set per band, merged in band order: counts sum to
-    // the number of bands a pair collided in, exactly the sequential
-    // accumulation.
-    std::vector<CandidateSet> per_band(config_.num_bands);
-    SANS_RETURN_IF_ERROR(pool->ParallelFor(
-        config_.num_bands, [&](int64_t band) -> Status {
-          CollectBandCandidates(signatures, static_cast<int>(band),
-                                &per_band[band]);
-          return Status::OK();
-        }));
-    CandidateSet candidates;
-    for (const CandidateSet& band : per_band) {
-      candidates.Merge(band);
-    }
-    MetricsRegistry::Global()
-        .GetCounter("sans_candgen_candidates_total")
-        ->Increment(candidates.size());
-    return candidates;
+  // One bucket table per band, keyed by an order-sensitive combination
+  // of the band's r values, seeded by the band id so identical values
+  // in different bands land in independent bucket spaces. All columns
+  // that share a bucket are pairwise candidates (paper: "all columns
+  // that hash into the same bucket are pairwise declared candidates"),
+  // and a pair's count is the number of bands it collided in.
+  std::vector<uint64_t> band_keys(m);
+  const FlatBuckets buckets(
+      m, static_cast<uint32_t>(config_.num_bands),
+      static_cast<size_t>(config_.num_bands) * m,
+      [&](uint32_t band, const auto& add) {
+        std::fill(band_keys.begin(), band_keys.end(),
+                  Mix64(0xb5ad4eceda1ce2a9ULL + band));
+        for (int idx : BandIndices(static_cast<int>(band), k)) {
+          const auto row = signatures.HashRow(idx);
+          for (ColumnId c = 0; c < m; ++c) {
+            band_keys[c] = CombineHashes(band_keys[c], row[c]);
+          }
+        }
+        for (ColumnId c = 0; c < m; ++c) {
+          if (!signatures.ColumnEmpty(c)) add(c, band_keys[c]);
+        }
+      });
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  static Counter* const bands_counter =
+      registry.GetCounter("sans_candgen_bands_total");
+  static Counter* const buckets_counter =
+      registry.GetCounter("sans_candgen_buckets_total");
+  static Counter* const bucket_pairs_counter =
+      registry.GetCounter("sans_candgen_bucket_pairs_total");
+  for (const BucketRunStats& band : buckets.run_stats()) {
+    bands_counter->Increment();
+    buckets_counter->Increment(band.runs);
+    bucket_pairs_counter->Increment(band.pairs);
   }
-
-  CandidateSet candidates;
-  for (int band = 0; band < config_.num_bands; ++band) {
-    CollectBandCandidates(signatures, band, &candidates);
-  }
-  MetricsRegistry::Global()
-      .GetCounter("sans_candgen_candidates_total")
-      ->Increment(candidates.size());
-  return candidates;
+  return buckets.Count(pool, KeepEveryPair());
 }
 
 }  // namespace sans

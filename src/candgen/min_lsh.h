@@ -8,6 +8,11 @@
 // values available: each band draws r random indices from the k
 // min-hash values (indices may repeat across bands), achieving
 // Q_{r,l,k}(s) of Section 4.1.
+//
+// Bucketing runs on the flat sorted-bucket engine
+// (candgen/flat_buckets.h) with one table per band: key (band, band
+// key), every colliding pair kept, so a pair's count is the number of
+// bands it collided in.
 
 #ifndef SANS_CANDGEN_MIN_LSH_H_
 #define SANS_CANDGEN_MIN_LSH_H_
@@ -50,11 +55,9 @@ class MinLshCandidateGenerator {
   /// sampled mode if the matrix has no hash rows.
   Result<CandidateSet> Generate(const SignatureMatrix& signatures) const;
 
-  /// Parallel variant: bands are processed independently on `pool`
-  /// (one CandidateSet per band, merged in band order — counts sum to
-  /// the number of bands a pair collided in, exactly the sequential
-  /// accumulation). A null or single-thread pool falls back to the
-  /// sequential path. Output is identical for any thread count.
+  /// As Generate, with the flat-bucket engine's probing chunks spread
+  /// over `pool` (null: inline on the calling thread). Output is
+  /// identical for any pool.
   Result<CandidateSet> Generate(const SignatureMatrix& signatures,
                                 ThreadPool* pool) const;
 
@@ -66,10 +69,6 @@ class MinLshCandidateGenerator {
   const MinLshConfig& config() const { return config_; }
 
  private:
-  /// Buckets one band and adds its bucket-mate pairs to `out`.
-  void CollectBandCandidates(const SignatureMatrix& signatures, int band,
-                             CandidateSet* out) const;
-
   MinLshConfig config_;
 };
 

@@ -3,80 +3,13 @@
 #include <algorithm>
 #include <cmath>
 
-#include "obs/metrics.h"
+#include "candgen/hash_count.h"
 #include "util/status.h"
 
 namespace sans {
 
-RowSorter::RowSorter(const SignatureMatrix* signatures)
-    : signatures_(signatures) {
-  const int k = signatures_->num_hashes();
-  const ColumnId m = signatures_->num_cols();
-  rows_.resize(k);
-  std::vector<std::pair<uint64_t, ColumnId>> scratch(m);
-  for (int l = 0; l < k; ++l) {
-    const auto values = signatures_->HashRow(l);
-    for (ColumnId c = 0; c < m; ++c) {
-      scratch[c] = {values[c], c};
-    }
-    std::sort(scratch.begin(), scratch.end());
-
-    SortedRow& row = rows_[l];
-    row.order.resize(m);
-    row.run_index.resize(m);
-    for (ColumnId pos = 0; pos < m; ++pos) {
-      const ColumnId c = scratch[pos].second;
-      row.order[pos] = c;
-      if (pos == 0 || scratch[pos].first != scratch[pos - 1].first) {
-        if (pos != 0) row.run_end.push_back(pos);
-        row.run_begin.push_back(pos);
-      }
-      row.run_index[c] =
-          static_cast<uint32_t>(row.run_begin.size() - 1);
-    }
-    if (m > 0) row.run_end.push_back(m);
-    SANS_CHECK_EQ(row.run_begin.size(), row.run_end.size());
-  }
-}
-
 CandidateSet RowSorter::Candidates(int min_agreements) const {
-  const int k = signatures_->num_hashes();
-  const ColumnId m = signatures_->num_cols();
-  SANS_CHECK_GE(min_agreements, 1);
-
-  CandidateSet candidates;
-  // Reused counters: counter[j] = rows on which the current column and
-  // column j share a min-hash value. `touched` remembers which entries
-  // to reset, avoiding O(m²) initialization (paper Section 3.1).
-  std::vector<int> counter(m, 0);
-  std::vector<ColumnId> touched;
-  for (ColumnId i = 0; i < m; ++i) {
-    if (signatures_->ColumnEmpty(i)) continue;
-    touched.clear();
-    for (int l = 0; l < k; ++l) {
-      const SortedRow& row = rows_[l];
-      const uint32_t run = row.run_index[i];
-      for (uint32_t pos = row.run_begin[run]; pos < row.run_end[run];
-           ++pos) {
-        const ColumnId j = row.order[pos];
-        if (j == i) continue;
-        if (counter[j] == 0) touched.push_back(j);
-        ++counter[j];
-      }
-    }
-    for (ColumnId j : touched) {
-      // Emit each unordered pair once, from its smaller endpoint.
-      if (j > i && counter[j] >= min_agreements &&
-          !signatures_->ColumnEmpty(j)) {
-        candidates.Add(ColumnPair(i, j), counter[j]);
-      }
-      counter[j] = 0;
-    }
-  }
-  static Counter* const candidates_counter =
-      MetricsRegistry::Global().GetCounter("sans_candgen_candidates_total");
-  candidates_counter->Increment(candidates.size());
-  return candidates;
+  return HashCountMinHash(*signatures_, min_agreements);
 }
 
 int RowSorter::AgreementCount(ColumnId a, ColumnId b) const {
@@ -88,14 +21,10 @@ int RowSorter::AgreementCount(ColumnId a, ColumnId b) const {
 }
 
 uint64_t RowSorter::TotalRunIncrements() const {
+  const FlatBuckets buckets = MinHashBuckets(*signatures_);
   uint64_t total = 0;
-  for (const SortedRow& row : rows_) {
-    for (size_t run = 0; run < row.run_begin.size(); ++run) {
-      const uint64_t len = row.run_end[run] - row.run_begin[run];
-      // Each column in a run of length L increments L-1 counters.
-      total += len * (len - 1);
-    }
-  }
+  // Each column in a run of length L increments L-1 counters.
+  for (const BucketRunStats& row : buckets.run_stats()) total += 2 * row.pairs;
   return total;
 }
 
@@ -106,8 +35,7 @@ CandidateSet RowSortCandidates(const SignatureMatrix& signatures,
   const int k = signatures.num_hashes();
   const int min_agreements =
       std::max(1, static_cast<int>(std::ceil(min_fraction * k)));
-  RowSorter sorter(&signatures);
-  return sorter.Candidates(min_agreements);
+  return HashCountMinHash(signatures, min_agreements);
 }
 
 }  // namespace sans

@@ -5,15 +5,15 @@
 // O(k·m·log m + k·S̄·m²) — near-linear when the average pairwise
 // similarity S̄ is small.
 //
-// RowSorter also supports the Section 6 extension: counting, per
-// pair, the rows where h_l(c_i) <= h_l(c_j) (an estimator of
-// |C_i| / |C_i ∪ C_j| used for confidence rules).
+// Row-sorting and Min-Hash Hash-Count compute the same agreement
+// counts; both run on the flat sorted-bucket engine
+// (candgen/flat_buckets.h), whose radix-sorted runs are exactly the
+// sorted rows, so RowSorter::Candidates is HashCountMinHash.
 
 #ifndef SANS_CANDGEN_ROW_SORT_H_
 #define SANS_CANDGEN_ROW_SORT_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "candgen/candidate_set.h"
 #include "core/types.h"
@@ -21,12 +21,12 @@
 
 namespace sans {
 
-/// Precomputes the sorted rows of a signature matrix and answers
-/// agreement-count queries. The SignatureMatrix must outlive the
-/// sorter.
+/// Answers agreement-count queries over a signature matrix. The
+/// SignatureMatrix must outlive the sorter.
 class RowSorter {
  public:
-  explicit RowSorter(const SignatureMatrix* signatures);
+  explicit RowSorter(const SignatureMatrix* signatures)
+      : signatures_(signatures) {}
 
   /// All pairs whose min-hash signatures agree on at least
   /// `min_agreements` of the k rows, with the agreement count as the
@@ -34,33 +34,21 @@ class RowSorter {
   CandidateSet Candidates(int min_agreements) const;
 
   /// Agreement count for one pair (the number of rows l with
-  /// h_l(a) = h_l(b)); exact, O(k).
+  /// h_l(a) = h_l(b)); exact, O(k). The brute-force reference the
+  /// tests check the engine against.
   int AgreementCount(ColumnId a, ColumnId b) const;
 
-  /// Total length of all runs containing each column, summed over
-  /// rows — the counter-increment cost the paper's analysis bounds by
+  /// Σ len·(len−1) over the runs of non-empty columns' values in every
+  /// row — the counter-increment cost the paper's analysis bounds by
   /// k·S̄·m². Exposed for the cost-model tests.
   uint64_t TotalRunIncrements() const;
 
  private:
-  struct SortedRow {
-    // Column ids ordered by their min-hash value in this row; runs of
-    // equal values are contiguous.
-    std::vector<ColumnId> order;
-    // run_index[c] = index into run_begin/run_end of the run that
-    // contains column c.
-    std::vector<uint32_t> run_index;
-    // Half-open [begin, end) positions in `order` per run.
-    std::vector<uint32_t> run_begin;
-    std::vector<uint32_t> run_end;
-  };
-
   const SignatureMatrix* signatures_;
-  std::vector<SortedRow> rows_;
 };
 
-/// Convenience wrapper: build a RowSorter and return candidates that
-/// agree on at least ceil(min_fraction * k) rows (at least 1).
+/// Convenience wrapper: return candidates that agree on at least
+/// ceil(min_fraction * k) rows (at least 1).
 CandidateSet RowSortCandidates(const SignatureMatrix& signatures,
                                double min_fraction);
 

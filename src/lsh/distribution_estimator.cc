@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "candgen/row_sort.h"
+#include "candgen/hash_count.h"
 #include "matrix/row_stream.h"
 #include "sketch/min_hash.h"
 #include "util/random.h"
@@ -99,8 +99,7 @@ Result<SimilarityDistribution> EstimateSimilarityDistributionSketch(
   SANS_ASSIGN_OR_RETURN(SignatureMatrix signatures,
                         generator.Compute(&stream));
 
-  RowSorter sorter(&signatures);
-  const CandidateSet sharing = sorter.Candidates(1);
+  const CandidateSet sharing = HashCountMinHash(signatures, 1);
   HistogramAccumulator hist(options.num_bins, /*drop_zeros=*/true);
   for (const auto& [pair, agreements] : sharing) {
     const double estimate =

@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "candgen/candidate_set.h"
-#include "candgen/row_sort.h"
+#include "candgen/hash_count.h"
 #include "mine/miner.h"
 #include "mine/verifier.h"
 #include "sketch/signature_matrix.h"
@@ -52,8 +52,7 @@ Result<ConfidenceReport> ConfidenceMiner::Mine(const RowStreamSource& source,
   std::vector<ColumnPair> candidates;
   {
     ScopedPhase phase(&report.timers, kPhaseCandidates);
-    RowSorter sorter(&signatures);
-    const CandidateSet sharing = sorter.Candidates(1);
+    const CandidateSet sharing = HashCountMinHash(signatures, 1);
     const double floor = config_.similarity_slack * threshold;
     for (const auto& [pair, agreements] : sharing) {
       const double s_hat = static_cast<double>(agreements) /

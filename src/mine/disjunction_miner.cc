@@ -6,7 +6,7 @@
 #include <unordered_map>
 
 #include "candgen/candidate_set.h"
-#include "candgen/row_sort.h"
+#include "candgen/hash_count.h"
 #include "matrix/row_stream.h"
 #include "mine/boolean_extensions.h"
 
@@ -77,8 +77,7 @@ Result<DisjunctionReport> DisjunctionMiner::Mine(const BinaryMatrix& matrix,
   const int k = config_.min_hash.num_hashes;
   const int min_agreements = std::max(
       1, static_cast<int>(config_.neighbour_floor * k));
-  RowSorter sorter(&signatures);
-  const CandidateSet neighbours = sorter.Candidates(min_agreements);
+  const CandidateSet neighbours = HashCountMinHash(signatures, min_agreements);
 
   // Neighbourhood lists, trimmed to the strongest max_neighbours.
   std::unordered_map<ColumnId, std::vector<std::pair<uint64_t, ColumnId>>>

@@ -21,10 +21,10 @@ Result<BinaryMatrix> HlshMiner::Sketch(const RowStreamSource& source,
 
 Result<CandidateSet> HlshMiner::Candidates(const BinaryMatrix& matrix,
                                            double /*threshold*/,
-                                           ThreadPool* /*pool*/) {
+                                           ThreadPool* pool) {
   level_stats_.clear();
   return HammingLshCandidateGenerator(config_.lsh)
-      .GenerateWithStats(matrix, &level_stats_);
+      .Generate(matrix, pool, &level_stats_);
 }
 
 }  // namespace sans

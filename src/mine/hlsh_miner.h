@@ -20,9 +20,9 @@ namespace sans {
 /// Configuration of the H-LSH miner.
 struct HlshMinerConfig {
   HammingLshConfig lsh;
-  /// Parallel execution knobs. Only the verification scan
-  /// parallelizes: the pyramid needs random row access over the
-  /// materialized matrix and runs on the calling thread.
+  /// Parallel execution knobs. Candidate probing and the verification
+  /// scan run on the pool; materialization and the pyramid need random
+  /// row access over the matrix and run on the calling thread.
   ExecutionConfig execution;
 
   Status Validate() const {
@@ -46,8 +46,8 @@ class HlshMiner final : public Miner {
   Result<BinaryMatrix> Sketch(const RowStreamSource& source,
                               ThreadPool* pool) const;
 
-  /// Phase 2: pyramid + density-banded bucketing; records the
-  /// per-level statistics. The threshold and pool are not consulted.
+  /// Phase 2: pyramid + density-banded bucketing, probed on `pool`;
+  /// records the per-level statistics. The threshold is not consulted.
   Result<CandidateSet> Candidates(const BinaryMatrix& matrix,
                                   double threshold, ThreadPool* pool);
 

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "candgen/hash_count.h"
-#include "candgen/row_sort.h"
 #include "mine/parallel.h"
 
 namespace sans {
@@ -39,13 +38,7 @@ Result<CandidateSet> MhMiner::Candidates(const SignatureMatrix& signatures,
   const int k = config_.min_hash.num_hashes;
   const int min_agreements = std::max(
       1, static_cast<int>(std::ceil((1.0 - config_.delta) * threshold * k)));
-  switch (config_.candidates) {
-    case MhCandidateAlgorithm::kRowSort:
-      return RowSorter(&signatures).Candidates(min_agreements);
-    case MhCandidateAlgorithm::kHashCount:
-      return HashCountMinHashParallel(signatures, min_agreements, pool);
-  }
-  return Status::InvalidArgument("unknown MH candidate algorithm");
+  return HashCountMinHashParallel(signatures, min_agreements, pool);
 }
 
 }  // namespace sans

@@ -1,7 +1,8 @@
 // The MH miner (paper Sections 3, 3.1, 5): Min-Hash signatures with k
 // independent permutations; candidates are pairs agreeing on at least
-// a (1-δ)·s* fraction of min-hash values, found by row-sorting or
-// hash-counting; exact verification removes false positives.
+// a (1-δ)·s* fraction of min-hash values, counted by Min-Hash
+// Hash-Count (the same counts row-sorting computes, on the flat-bucket
+// engine); exact verification removes false positives.
 
 #ifndef SANS_MINE_MH_MINER_H_
 #define SANS_MINE_MH_MINER_H_
@@ -14,17 +15,9 @@
 
 namespace sans {
 
-/// Which Section 3.1 candidate-generation algorithm to run (identical
-/// output, different constants; see bench/micro_candgen).
-enum class MhCandidateAlgorithm {
-  kRowSort,
-  kHashCount,
-};
-
 /// Configuration of the MH miner.
 struct MhMinerConfig {
   MinHashConfig min_hash;
-  MhCandidateAlgorithm candidates = MhCandidateAlgorithm::kRowSort;
   /// δ of Theorem 1: candidates must agree on >= (1-δ)·s*·k values.
   /// Larger δ admits more candidates (fewer false negatives, more
   /// verification work).
@@ -50,7 +43,8 @@ class MhMiner final : public Miner {
                                  ThreadPool* pool) const;
 
   /// Phase 2: the pairs agreeing on at least max(1, ⌈(1-δ)·s*·k⌉) of
-  /// the k min-hash values, each with its agreement count.
+  /// the k min-hash values, each with its agreement count, counted on
+  /// `pool`.
   Result<CandidateSet> Candidates(const SignatureMatrix& signatures,
                                   double threshold, ThreadPool* pool) const;
 

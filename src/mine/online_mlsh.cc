@@ -1,8 +1,8 @@
 #include "mine/online_mlsh.h"
 
 #include <cmath>
-#include <unordered_map>
 
+#include "candgen/flat_buckets.h"
 #include "mine/miner.h"
 #include "mine/verifier.h"
 #include "util/hashing.h"
@@ -57,27 +57,24 @@ Result<OnlineStepResult> OnlineMlshMiner::Step() {
   const int r = config_.rows_per_band;
 
   // Bucket every non-empty column on this band's r values.
-  std::unordered_map<uint64_t, std::vector<ColumnId>> buckets;
-  for (ColumnId c = 0; c < signatures_.num_cols(); ++c) {
-    if (signatures_.ColumnEmpty(c)) continue;
-    uint64_t key = Mix64(0xd6e8feb86659fd93ULL + band);
-    for (int i = 0; i < r; ++i) {
-      key = CombineHashes(key, signatures_.Value(band * r + i, c));
-    }
-    buckets[key].push_back(c);
-  }
-
-  // Collect candidates not seen in earlier bands.
-  std::vector<ColumnPair> fresh;
-  for (const auto& [key, cols] : buckets) {
-    for (size_t a = 0; a < cols.size(); ++a) {
-      for (size_t b = a + 1; b < cols.size(); ++b) {
-        const ColumnPair pair(cols[a], cols[b]);
-        if (seen_candidates_.insert(pair).second) {
-          fresh.push_back(pair);
-        }
+  const ColumnId m = signatures_.num_cols();
+  const FlatBuckets buckets(m, 1, m, [&](uint32_t, const auto& add) {
+    for (ColumnId c = 0; c < m; ++c) {
+      if (signatures_.ColumnEmpty(c)) continue;
+      uint64_t key = Mix64(0xd6e8feb86659fd93ULL + band);
+      for (int i = 0; i < r; ++i) {
+        key = CombineHashes(key, signatures_.Value(band * r + i, c));
       }
+      add(c, key);
     }
+  });
+  SANS_ASSIGN_OR_RETURN(const CandidateSet band_pairs,
+                        buckets.Count(nullptr, KeepEveryPair()));
+
+  // Keep the candidates not seen in earlier bands.
+  std::vector<ColumnPair> fresh;
+  for (const ColumnPair& pair : band_pairs.SortedPairs()) {
+    if (seen_candidates_.insert(pair).second) fresh.push_back(pair);
   }
 
   OnlineStepResult result;

@@ -8,8 +8,10 @@
 // discovered."
 //
 // One Step() = one LSH band: bucket columns on a fresh band of r
-// min-hash values, verify the new candidate pairs exactly, and hand
-// back the newly confirmed pairs. The caller loops until satisfied or
+// min-hash values (one table of the flat-bucket engine,
+// candgen/flat_buckets.h), drop the pairs earlier bands already
+// produced, verify the new candidate pairs exactly, and hand back the
+// newly confirmed pairs. The caller loops until satisfied or
 // until done().
 
 #ifndef SANS_MINE_ONLINE_MLSH_H_

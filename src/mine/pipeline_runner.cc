@@ -248,8 +248,9 @@ std::string PipelineRunner::FingerprintString(
       s += ";family=" +
            std::to_string(static_cast<int>(config_.mh.min_hash.family));
       s += ";seed=" + std::to_string(config_.mh.min_hash.seed);
-      s += ";candgen=" +
-           std::to_string(static_cast<int>(config_.mh.candidates));
+      // MH once chose between row-sorting (0) and hash-counting (1);
+      // the fixed entry keeps existing checkpoints resumable.
+      s += ";candgen=0";
       s += ";delta=" + FormatDouble(config_.mh.delta);
       break;
     case PipelineAlgorithm::kKmh:

@@ -23,8 +23,9 @@ inline constexpr uint64_t kEmptyMinHash =
     std::numeric_limits<uint64_t>::max();
 
 /// Dense k × m matrix of min-hash values, stored row-major (one hash
-/// function's values for all columns are contiguous) to give the
-/// row-sorting candidate generator sequential access.
+/// function's values for all columns are contiguous), so a sweep over
+/// one hash row (HashRow, e.g. Min-LSH's band keys) reads sequential
+/// memory.
 class SignatureMatrix {
  public:
   /// All entries initialized to kEmptyMinHash.

@@ -2,7 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <vector>
+
 #include "data/synthetic_generator.h"
+#include "matrix/or_fold.h"
+#include "util/hashing.h"
+#include "util/random.h"
+#include "util/thread_pool.h"
 
 namespace sans {
 namespace {
@@ -71,7 +79,8 @@ TEST(HammingLshTest, SparseSimilarColumnsFoundViaFolding) {
   config.seed = 3;
   HammingLshCandidateGenerator generator(config);
   std::vector<HammingLshLevelStats> stats;
-  const CandidateSet candidates = generator.GenerateWithStats(*m, &stats);
+  const CandidateSet candidates =
+      generator.Generate(*m, nullptr, &stats).value();
   EXPECT_TRUE(candidates.Contains(ColumnPair(0, 1)));
   // Level 0 must have had no eligible columns; some deeper level must.
   ASSERT_FALSE(stats.empty());
@@ -102,7 +111,7 @@ TEST(HammingLshTest, LevelStatsTrackPyramid) {
   config.seed = 7;
   HammingLshCandidateGenerator generator(config);
   std::vector<HammingLshLevelStats> stats;
-  generator.GenerateWithStats(dataset.matrix, &stats);
+  ASSERT_TRUE(generator.Generate(dataset.matrix, nullptr, &stats).ok());
   ASSERT_GE(stats.size(), 2u);
   EXPECT_EQ(stats[0].rows, 256u);
   for (size_t i = 1; i < stats.size(); ++i) {
@@ -172,6 +181,83 @@ TEST(HammingLshTest, RowsPerRunLargerThanMatrixIsClamped) {
   // Must not crash; with the full matrix sampled the identical half
   // still gives the pair a chance at some level.
   generator.Generate(*m);
+}
+
+TEST(HammingLshTest, MatchesBruteForceRunCollisionsAtEveryPool) {
+  // Definitional reference, rebuilt from the documented seeding: a
+  // pair's count is the number of (level, run) pairs at which both
+  // columns are eligible (density inside (1/t, (t-1)/t)) and have the
+  // same non-zero r-bit pattern over the run's sampled rows; a level's
+  // candidate_pairs sums its runs' colliding pairs.
+  SyntheticConfig data;
+  data.num_rows = 512;
+  data.num_cols = 60;
+  data.bands = {{6, 60.0, 95.0}};
+  data.spread_pairs = false;
+  data.min_density = 0.03;
+  data.max_density = 0.3;
+  data.seed = 19;
+  auto dataset = GenerateSynthetic(data);
+  ASSERT_TRUE(dataset.ok());
+  const BinaryMatrix& matrix = dataset->matrix;
+
+  HammingLshConfig config;
+  config.rows_per_run = 6;
+  config.num_runs = 5;
+  config.min_rows = 16;
+  config.seed = 23;
+  Xoshiro256 pyramid_rng(Mix64(config.seed));
+  const std::vector<BinaryMatrix> pyramid = BuildOrFoldPyramid(
+      matrix, config.max_levels, config.min_rows, &pyramid_rng);
+  std::map<ColumnPair, uint64_t> counts;
+  std::vector<uint64_t> level_pairs(pyramid.size(), 0);
+  for (size_t level = 0; level < pyramid.size(); ++level) {
+    const BinaryMatrix& m = pyramid[level];
+    const auto eligible = [&](ColumnId c) {
+      return m.ColumnDensity(c) > 0.25 && m.ColumnDensity(c) < 0.75;
+    };
+    Xoshiro256 run_rng(
+        Mix64(config.seed ^ (0xa0761d6478bd642fULL * (level + 1))));
+    const int r = std::min<int>(config.rows_per_run, m.num_rows());
+    for (int run = 0; run < config.num_runs; ++run) {
+      const std::vector<uint64_t> sample =
+          run_rng.SampleWithoutReplacement(m.num_rows(), r);
+      const auto pattern = [&](ColumnId c) {
+        uint64_t bits = 0;
+        for (int bit = 0; bit < r; ++bit) {
+          if (m.Get(static_cast<RowId>(sample[bit]), c)) bits |= 1ULL << bit;
+        }
+        return bits;
+      };
+      for (ColumnId i = 0; i < m.num_cols(); ++i) {
+        for (ColumnId j = i + 1; j < m.num_cols(); ++j) {
+          if (eligible(i) && eligible(j) && pattern(i) != 0 &&
+              pattern(i) == pattern(j)) {
+            ++counts[ColumnPair(i, j)];
+            ++level_pairs[level];
+          }
+        }
+      }
+    }
+  }
+  const std::vector<std::pair<ColumnPair, uint64_t>> expected(counts.begin(),
+                                                              counts.end());
+  ASSERT_FALSE(expected.empty());
+
+  const HammingLshCandidateGenerator generator(config);
+  EXPECT_EQ(generator.Generate(matrix).SortedEntries(), expected);
+  for (int threads : {1, 2, 3, 8}) {
+    ThreadPool pool(threads);
+    std::vector<HammingLshLevelStats> stats;
+    auto pooled = generator.Generate(matrix, &pool, &stats);
+    ASSERT_TRUE(pooled.ok());
+    EXPECT_EQ(pooled->SortedEntries(), expected) << "threads=" << threads;
+    ASSERT_EQ(stats.size(), pyramid.size());
+    for (size_t level = 0; level < stats.size(); ++level) {
+      EXPECT_EQ(stats[level].candidate_pairs, level_pairs[level])
+          << "level=" << level;
+    }
+  }
 }
 
 }  // namespace

@@ -58,9 +58,9 @@ TEST(HashCountKMinHashTest, ThresholdFilters) {
 }
 
 TEST(HashCountMinHashTest, AgreesWithRowSorterExactly) {
-  // The paper presents row-sorting and hash-count as interchangeable
-  // implementations of the same candidate generation; their outputs
-  // must match pair-for-pair and count-for-count.
+  // Hash-count must report exactly the pairs whose O(k) per-pair
+  // agreement count (RowSorter::AgreementCount, a direct row-by-row
+  // comparison) reaches the threshold, with that count.
   SyntheticConfig config;
   config.num_rows = 300;
   config.num_cols = 50;
@@ -80,15 +80,22 @@ TEST(HashCountMinHashTest, AgreesWithRowSorterExactly) {
   auto sig = generator.Compute(&stream);
   ASSERT_TRUE(sig.ok());
 
+  const RowSorter sorter(&*sig);
   for (int min_agreements : {1, 3, 8, 15}) {
-    RowSorter sorter(&*sig);
-    const CandidateSet via_sort = sorter.Candidates(min_agreements);
     const CandidateSet via_hash = HashCountMinHash(*sig, min_agreements);
-    EXPECT_EQ(via_sort.size(), via_hash.size())
-        << "min_agreements=" << min_agreements;
-    for (const auto& [pair, count] : via_sort) {
-      EXPECT_EQ(via_hash.Count(pair), count);
+    uint64_t expected_size = 0;
+    for (ColumnId i = 0; i < sig->num_cols(); ++i) {
+      for (ColumnId j = i + 1; j < sig->num_cols(); ++j) {
+        const int agreements = sorter.AgreementCount(i, j);
+        if (agreements >= min_agreements) {
+          ++expected_size;
+          EXPECT_EQ(via_hash.Count(ColumnPair(i, j)),
+                    static_cast<uint64_t>(agreements));
+        }
+      }
     }
+    EXPECT_EQ(via_hash.size(), expected_size)
+        << "min_agreements=" << min_agreements;
   }
 }
 
@@ -242,6 +249,26 @@ Entries BruteForceIntersections(const KMinHashSketch& sketch) {
   return entries;
 }
 
+// Independent MH reference: the rows on which two non-empty columns
+// agree, counted row by row for every pair, kept from min_agreements.
+Entries BruteForceAgreements(const SignatureMatrix& signatures,
+                             int min_agreements) {
+  Entries entries;
+  for (ColumnId i = 0; i < signatures.num_cols(); ++i) {
+    for (ColumnId j = i + 1; j < signatures.num_cols(); ++j) {
+      if (signatures.ColumnEmpty(i) || signatures.ColumnEmpty(j)) continue;
+      int count = 0;
+      for (int l = 0; l < signatures.num_hashes(); ++l) {
+        count += signatures.Value(l, i) == signatures.Value(l, j);
+      }
+      if (count >= min_agreements) {
+        entries.emplace_back(ColumnPair(i, j), count);
+      }
+    }
+  }
+  return entries;
+}
+
 template <typename KeepFn>
 Entries Filter(const Entries& entries, const KeepFn& keep) {
   Entries kept;
@@ -251,9 +278,10 @@ Entries Filter(const Entries& entries, const KeepFn& keep) {
   return kept;
 }
 
-// Every variant must equal an independent reference (brute-force
-// intersections for K-MH, RowSorter for MH) with a null pool, and
-// reproduce that result entry for entry at every pool size.
+// Every variant must equal an independent brute-force reference
+// (signature intersections for K-MH, per-row agreements for MH) with a
+// null pool, and reproduce that result entry for entry at every pool
+// size.
 void ExpectEveryPoolMatchesNullPool(const KMinHashSketch& sketch,
                                     const SignatureMatrix& signatures,
                                     const std::vector<uint64_t>& intersections,
@@ -276,8 +304,7 @@ void ExpectEveryPoolMatchesNullPool(const KMinHashSketch& sketch,
     }));
   }
   for (int min_agreements : agreements) {
-    expected.push_back(
-        RowSorter(&signatures).Candidates(min_agreements).SortedEntries());
+    expected.push_back(BruteForceAgreements(signatures, min_agreements));
   }
   const auto run_all = [&](ThreadPool* pool) {
     std::vector<Entries> results;
@@ -355,7 +382,7 @@ TEST(HashCountChunkTest, ZeroColumns) {
 }
 
 TEST(HashCountChunkTest, AllColumnsEmpty) {
-  const ColumnId cols = kHashCountChunkCols + 5;
+  const ColumnId cols = kFlatBucketChunkCols + 5;
   const KMinHashSketch sketch = SketchOf(BinaryMatrix(10, cols), 8, 1);
   const SignatureMatrix signatures(8, cols);
   ExpectEveryPoolMatchesNullPool(sketch, signatures, {1}, {0.0, 0.5}, {1});
@@ -365,7 +392,7 @@ TEST(HashCountChunkTest, AllColumnsEmpty) {
 
 TEST(HashCountChunkTest, FewerColumnsThanOneChunk) {
   const BinaryMatrix table = SyntheticTable(300, 40, 5);
-  ASSERT_LT(table.num_cols(), kHashCountChunkCols);
+  ASSERT_LT(table.num_cols(), kFlatBucketChunkCols);
   ExpectEveryPoolMatchesNullPool(SketchOf(table, 30, 2),
                                  MinHashOf(table, 24, 2), {1, 3}, {0.3},
                                  {1, 6});
@@ -373,8 +400,8 @@ TEST(HashCountChunkTest, FewerColumnsThanOneChunk) {
 
 TEST(HashCountChunkTest, ColumnsNotAMultipleOfTheChunk) {
   const BinaryMatrix table =
-      SyntheticTable(300, 2 * kHashCountChunkCols + 37, 6);
-  ASSERT_NE(table.num_cols() % kHashCountChunkCols, 0u);
+      SyntheticTable(300, 2 * kFlatBucketChunkCols + 37, 6);
+  ASSERT_NE(table.num_cols() % kFlatBucketChunkCols, 0u);
   ExpectEveryPoolMatchesNullPool(SketchOf(table, 30, 3),
                                  MinHashOf(table, 24, 3), {5, 12}, {0.4},
                                  {6, 12});

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "data/synthetic_generator.h"
 #include "matrix/row_stream.h"
 #include "sketch/min_hash.h"
@@ -162,9 +165,8 @@ TEST(MinLshTest, RecallGrowsWithBandsAndShrinksWithRows) {
 }
 
 TEST(MinLshTest, ParallelGenerateMatchesSequential) {
-  // Per-band parallel banding merged in band order must reproduce the
-  // sequential candidate multiset exactly, in both banded and sampled
-  // modes.
+  // Probing on a pool must reproduce the inline candidate set exactly,
+  // counts included, in both banded and sampled modes.
   SyntheticConfig data;
   data.num_rows = 800;
   data.num_cols = 50;
@@ -198,6 +200,73 @@ TEST(MinLshTest, ParallelGenerateMatchesSequential) {
       auto parallel = generator.Generate(*sig, &pool);
       ASSERT_TRUE(parallel.ok()) << "threads=" << threads;
       EXPECT_EQ(parallel->SortedEntries(), sequential->SortedEntries())
+          << "sampled=" << sampled << " threads=" << threads;
+    }
+  }
+}
+
+TEST(MinLshTest, MatchesBruteForceBandCollisionsAtEveryPool) {
+  // Definitional reference: a pair of non-empty columns is a candidate
+  // when all r values of some band match, with the number of such
+  // bands as its count. Two empty columns are appended: they never
+  // pair, although their sentinel values agree in every band.
+  SyntheticConfig data;
+  data.num_rows = 600;
+  data.num_cols = 70;
+  data.bands = {{6, 50.0, 90.0}};
+  data.spread_pairs = false;
+  data.min_density = 0.05;
+  data.max_density = 0.12;
+  data.seed = 17;
+  auto dataset = GenerateSynthetic(data);
+  ASSERT_TRUE(dataset.ok());
+  MinHashConfig mh;
+  mh.num_hashes = 12;
+  mh.seed = 3;
+  MinHashGenerator mh_generator(mh);
+  InMemoryRowStream stream(&dataset->matrix);
+  auto computed = mh_generator.Compute(&stream);
+  ASSERT_TRUE(computed.ok());
+  const ColumnId m = computed->num_cols() + 2;
+  SignatureMatrix sig(mh.num_hashes, m);
+  for (int l = 0; l < mh.num_hashes; ++l) {
+    for (ColumnId c = 0; c < computed->num_cols(); ++c) {
+      sig.SetValue(l, c, computed->Value(l, c));
+    }
+  }
+
+  for (bool sampled : {false, true}) {
+    MinLshConfig config;
+    config.rows_per_band = sampled ? 3 : 2;
+    config.num_bands = sampled ? 9 : 6;
+    config.sampled = sampled;
+    config.seed = 21;
+    const MinLshCandidateGenerator generator(config);
+    std::vector<std::pair<ColumnPair, uint64_t>> expected;
+    for (ColumnId i = 0; i < m; ++i) {
+      for (ColumnId j = i + 1; j < m; ++j) {
+        if (sig.ColumnEmpty(i) || sig.ColumnEmpty(j)) continue;
+        uint64_t bands = 0;
+        for (int band = 0; band < config.num_bands; ++band) {
+          bool match = true;
+          for (int idx : generator.BandIndices(band, mh.num_hashes)) {
+            match = match && sig.Value(idx, i) == sig.Value(idx, j);
+          }
+          bands += match;
+        }
+        if (bands > 0) expected.emplace_back(ColumnPair(i, j), bands);
+      }
+    }
+    ASSERT_FALSE(expected.empty());
+
+    auto inline_run = generator.Generate(sig);
+    ASSERT_TRUE(inline_run.ok());
+    EXPECT_EQ(inline_run->SortedEntries(), expected) << "sampled=" << sampled;
+    for (int threads : {1, 2, 3, 8}) {
+      ThreadPool pool(threads);
+      auto pooled = generator.Generate(sig, &pool);
+      ASSERT_TRUE(pooled.ok());
+      EXPECT_EQ(pooled->SortedEntries(), expected)
           << "sampled=" << sampled << " threads=" << threads;
     }
   }

@@ -42,19 +42,11 @@ SyntheticDataset TestData() {
 
 std::vector<MinerCase> AllMiners() {
   std::vector<MinerCase> cases;
-  cases.push_back({"MH-rowsort", [] {
+  cases.push_back({"MH", [] {
                      MhMinerConfig config;
                      config.min_hash.num_hashes = 120;
                      config.min_hash.seed = 1;
                      config.delta = 0.3;
-                     return std::make_unique<MhMiner>(config);
-                   }});
-  cases.push_back({"MH-hashcount", [] {
-                     MhMinerConfig config;
-                     config.min_hash.num_hashes = 120;
-                     config.min_hash.seed = 1;
-                     config.delta = 0.3;
-                     config.candidates = MhCandidateAlgorithm::kHashCount;
                      return std::make_unique<MhMiner>(config);
                    }});
   cases.push_back({"K-MH", [] {
@@ -152,27 +144,6 @@ TEST(MinersTest, RejectsInvalidThreshold) {
     auto miner = c.make();
     EXPECT_FALSE(miner->Mine(source, 0.0).ok()) << c.name;
     EXPECT_FALSE(miner->Mine(source, 1.5).ok()) << c.name;
-  }
-}
-
-TEST(MinersTest, MhRowSortAndHashCountProduceIdenticalOutput) {
-  const SyntheticDataset data = TestData();
-  InMemorySource source(&data.matrix);
-  MhMinerConfig config;
-  config.min_hash.num_hashes = 60;
-  config.min_hash.seed = 8;
-  config.delta = 0.2;
-  MhMiner row_sort(config);
-  config.candidates = MhCandidateAlgorithm::kHashCount;
-  MhMiner hash_count(config);
-  auto a = row_sort.Mine(source, 0.5);
-  auto b = hash_count.Mine(source, 0.5);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a->num_candidates, b->num_candidates);
-  ASSERT_EQ(a->pairs.size(), b->pairs.size());
-  for (size_t i = 0; i < a->pairs.size(); ++i) {
-    EXPECT_EQ(a->pairs[i].pair, b->pairs[i].pair);
   }
 }
 

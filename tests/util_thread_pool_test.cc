@@ -34,14 +34,21 @@ TEST(ExecutionConfigTest, MaybeCreatePoolReturnsNullForSequential) {
 }
 
 TEST(ThreadPoolTest, SubmitRunsEveryTask) {
-  ThreadPool pool(4);
+  // Everything the tasks touch is declared before the pool, so it
+  // outlives the pool's join of its workers; the last task notifies
+  // under the lock, so the wakeup cannot slip between the waiter's
+  // predicate check and its wait.
   std::atomic<int> counter{0};
   std::mutex mu;
   std::condition_variable cv;
+  ThreadPool pool(4);
   constexpr int kTasks = 100;
   for (int i = 0; i < kTasks; ++i) {
     pool.Submit([&] {
-      if (counter.fetch_add(1) + 1 == kTasks) cv.notify_one();
+      if (counter.fetch_add(1) + 1 == kTasks) {
+        std::lock_guard<std::mutex> lock(mu);
+        cv.notify_one();
+      }
     });
   }
   std::unique_lock<std::mutex> lock(mu);

@@ -29,7 +29,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <map>
-#include <optional>
+#include <memory>
 #include <string>
 #include <thread>
 
@@ -173,15 +173,39 @@ int Usage() {
   return 2;
 }
 
+bool IsTableFile(const std::string& path) {
+  return path.size() >= 5 && path.substr(path.size() - 5) == ".sans";
+}
+
 Result<BinaryMatrix> LoadInput(const std::string& path) {
-  if (path.size() >= 5 && path.substr(path.size() - 5) == ".sans") {
-    return ReadTableFile(path);
-  }
+  if (IsTableFile(path)) return ReadTableFile(path);
   return LoadTransactions(path);
 }
 
+/// An input table as a row source. A .sans file streams straight from
+/// disk: no full matrix sits in memory, and a mid-scan fault is
+/// recoverable by re-opening the file. Text transactions are loaded
+/// once into `matrix`.
+struct InputTable {
+  std::unique_ptr<BinaryMatrix> matrix;  // text input only
+  std::unique_ptr<RowStreamSource> source;
+};
+
+Result<InputTable> OpenInput(const std::string& path) {
+  InputTable input;
+  if (IsTableFile(path)) {
+    SANS_ASSIGN_OR_RETURN(TableFileSource file, TableFileSource::Create(path));
+    input.source = std::make_unique<TableFileSource>(std::move(file));
+  } else {
+    SANS_ASSIGN_OR_RETURN(BinaryMatrix matrix, LoadTransactions(path));
+    input.matrix = std::make_unique<BinaryMatrix>(std::move(matrix));
+    input.source = std::make_unique<InMemorySource>(input.matrix.get());
+  }
+  return input;
+}
+
 Status SaveOutput(const BinaryMatrix& matrix, const std::string& path) {
-  if (path.size() >= 5 && path.substr(path.size() - 5) == ".sans") {
+  if (IsTableFile(path)) {
     return WriteTableFile(matrix, path);
   }
   return SaveTransactions(matrix, path);
@@ -303,28 +327,11 @@ int RunPipelineMine(const Args& args, const std::string& algorithm) {
   config.resilience.max_skipped_rows = static_cast<uint64_t>(max_skipped);
   if (const Status s = config.Validate(); !s.ok()) return Fail(s);
 
-  // .sans inputs stream straight from disk (so a mid-scan fault is
-  // genuinely recoverable by re-opening the file); text transactions
-  // are loaded once up front.
-  const std::string in = args.Require("in");
-  std::optional<TableFileSource> file_source;
-  Result<BinaryMatrix> matrix = Status::Unimplemented("");
-  std::optional<InMemorySource> memory_source;
-  const RowStreamSource* source = nullptr;
-  if (in.size() >= 5 && in.substr(in.size() - 5) == ".sans") {
-    auto opened = TableFileSource::Create(in);
-    if (!opened.ok()) return Fail(opened.status());
-    file_source.emplace(std::move(opened).value());
-    source = &*file_source;
-  } else {
-    matrix = LoadTransactions(in);
-    if (!matrix.ok()) return Fail(matrix.status());
-    memory_source.emplace(&matrix.value());
-    source = &*memory_source;
-  }
+  auto input = OpenInput(args.Require("in"));
+  if (!input.ok()) return Fail(input.status());
 
   PipelineRunner runner(config);
-  auto summary = runner.Run(*source);
+  auto summary = runner.Run(*input->source);
   if (!summary.ok()) return Fail(summary.status());
   for (const std::string& line : summary->log) {
     std::fprintf(stderr, "%s\n", line.c_str());
@@ -353,9 +360,9 @@ int RunMine(const Args& args) {
                  "warning: --resume/--max-retries/--max-skipped-rows take "
                  "effect only with --checkpoint-dir; ignoring\n");
   }
-  auto matrix = LoadInput(args.Require("in"));
-  if (!matrix.ok()) return Fail(matrix.status());
-  InMemorySource source(&matrix.value());
+  auto input = OpenInput(args.Require("in"));
+  if (!input.ok()) return Fail(input.status());
+  const RowStreamSource& source = *input->source;
   const double threshold = args.GetDouble("threshold", 0.5);
   const uint64_t seed = args.GetInt("seed", 0);
   const std::string algorithm = args.GetString("algorithm", "mlsh");
@@ -403,7 +410,16 @@ int RunMine(const Args& args) {
   } else if (algorithm == "auto") {
     // Section 4.1 input-sensitive mode: estimate the similarity
     // distribution (column sample for the low mass, min-hash sketch
-    // for the high tail) and optimize (r, l).
+    // for the high tail) and optimize (r, l). The estimators sample
+    // the whole table, so this is the one mode that loads a .sans
+    // input into memory.
+    Result<BinaryMatrix> loaded = Status::Unimplemented("");
+    const BinaryMatrix* matrix = input->matrix.get();
+    if (matrix == nullptr) {
+      loaded = ReadTableFile(args.Require("in"));
+      if (!loaded.ok()) return Fail(loaded.status());
+      matrix = &loaded.value();
+    }
     DistributionEstimatorOptions est;
     est.sample_columns = static_cast<ColumnId>(args.GetInt("sample", 500));
     est.seed = seed;
@@ -632,32 +648,18 @@ int RunIndex(const Args& args) {
   auto execution = ParseExecution(args);
   if (!execution.ok()) return Fail(execution.status());
   config.execution = *execution;
-  const IndexBuilder builder(config);
   const std::string in = args.Require("in");
   const std::string out = args.Require("out");
-
-  Status built = Status::OK();
-  ColumnId num_cols = 0;
-  RowId num_rows = 0;
-  if (in.size() >= 5 && in.substr(in.size() - 5) == ".sans") {
-    // Stream straight off the table file; no full matrix in memory.
-    auto source = TableFileSource::Create(in);
-    if (!source.ok()) return Fail(source.status());
-    num_cols = source->num_cols();
-    num_rows = source->num_rows();
-    built = builder.Build(*source, out);
-  } else {
-    auto matrix = LoadInput(in);
-    if (!matrix.ok()) return Fail(matrix.status());
-    num_cols = matrix->num_cols();
-    num_rows = matrix->num_rows();
-    built = builder.Build(InMemorySource(&matrix.value()), out);
+  auto input = OpenInput(in);
+  if (!input.ok()) return Fail(input.status());
+  const RowStreamSource& source = *input->source;
+  if (const Status s = IndexBuilder(config).Build(source, out); !s.ok()) {
+    return Fail(s);
   }
-  if (!built.ok()) return Fail(built);
   std::printf("wrote %s: %u columns, %u rows, %d bands x %d rows, "
               "sketch k=%d\n",
-              out.c_str(), num_cols, num_rows, config.num_bands,
-              config.rows_per_band, config.sketch_k);
+              out.c_str(), source.num_cols(), source.num_rows(),
+              config.num_bands, config.rows_per_band, config.sketch_k);
   return 0;
 }
 
