@@ -1,7 +1,8 @@
 // Benchmark of phase 2 (candidate generation). Times, on in-memory
 // sketches:
 //  * Min-Hash hash-count (which row-sorting also runs) over one
-//    min-hash signature matrix at three agreement thresholds;
+//    min-hash signature matrix at four agreement thresholds, a=1 being
+//    every pair that shares a value (what `sans rules` asks for);
 //  * banded Min-LSH bucketing over the same matrix, for scale;
 //  * adaptive K-MH hash-count (k=100, the K-MH miner's fraction 0.25
 //    at s*=0.5) on a Zipf news table at 1 and 2 threads, asserting
@@ -117,7 +118,8 @@ int Main(int argc, char** argv) {
       SyntheticSignatures(smoke, &synthetic_rows);
   std::fprintf(stderr, "[bench] min-hash signatures: k=%d, %u columns\n",
                signatures.num_hashes(), signatures.num_cols());
-  for (int min_agreements : {6, 15, 30}) {
+  size_t sharing_pairs = 0;
+  for (int min_agreements : {1, 6, 15, 30}) {
     double seconds = 0.0;
     const CandidateSet candidates = TimeBestOf(
         repetitions, &seconds,
@@ -126,6 +128,7 @@ int Main(int argc, char** argv) {
          seconds);
     std::fprintf(stderr, "[bench] a=%d: hash-count %.4fs, %zu candidates\n",
                  min_agreements, seconds, candidates.size());
+    if (min_agreements == 1) sharing_pairs = candidates.size();
   }
   for (int r : {4, 6, 10}) {
     MinLshConfig config;
@@ -175,6 +178,7 @@ int Main(int argc, char** argv) {
   bench::WriteBenchJson(
       "BENCH_candgen.json", "candgen",
       {{"mh_cols", bench::JsonNumber(signatures.num_cols())},
+       {"mh_a1_candidates", bench::JsonNumber(sharing_pairs)},
        {"news_rows", bench::JsonNumber(news_rows)},
        {"news_cols", bench::JsonNumber(sketch.num_cols())},
        {"hardware_threads", bench::JsonNumber(hardware_threads)},

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <utility>
 
 #include "util/checksum_io.h"
 
@@ -51,21 +52,20 @@ Result<CandidateSet> ReadCandidateSet(const std::string& path) {
   CrcFile f{file.get()};
   uint64_t count = 0;
   SANS_RETURN_IF_ERROR(CheckHeader(&f, kCandidateFileMagic, &count));
-  CandidateSet candidates;
+  std::vector<CandidateSet::Entry> entries;
   for (uint64_t i = 0; i < count; ++i) {
-    ColumnId first = 0;
-    ColumnId second = 0;
-    uint64_t evidence = 0;
-    SANS_RETURN_IF_ERROR(f.ReadScalar(&first));
-    SANS_RETURN_IF_ERROR(f.ReadScalar(&second));
-    SANS_RETURN_IF_ERROR(f.ReadScalar(&evidence));
-    if (first == second) {
-      return Status::Corruption("candidate pair with equal columns");
+    CandidateSet::Entry entry;
+    SANS_RETURN_IF_ERROR(f.ReadScalar(&entry.first.first));
+    SANS_RETURN_IF_ERROR(f.ReadScalar(&entry.first.second));
+    SANS_RETURN_IF_ERROR(f.ReadScalar(&entry.second));
+    if (entry.first.first >= entry.first.second ||
+        (!entries.empty() && !(entries.back().first < entry.first))) {
+      return Status::Corruption("candidate pairs not strictly ascending");
     }
-    candidates.Add(ColumnPair(first, second), evidence);
+    entries.push_back(entry);
   }
   SANS_RETURN_IF_ERROR(f.VerifyTrailer("checkpoint artifact"));
-  return candidates;
+  return CandidateSet(std::move(entries));
 }
 
 Status WriteSimilarPairs(const std::vector<SimilarPair>& pairs,

@@ -36,7 +36,8 @@ inline constexpr uint32_t kCandidateIoVersion = 1;
 Status WriteCandidateSet(const CandidateSet& candidates,
                          const std::string& path);
 
-/// Reads a candidate set, validating the trailer checksum.
+/// Reads a candidate set, validating the trailer checksum and the
+/// strictly ascending entry order (kCorruption otherwise).
 Result<CandidateSet> ReadCandidateSet(const std::string& path);
 
 /// Writes verified similar pairs with their exact similarities.

@@ -6,47 +6,26 @@
 
 namespace sans {
 
-void CandidateSet::Add(ColumnPair pair, uint64_t count) {
-  SANS_CHECK(pair.first != pair.second);
-  counts_[pair] += count;
+CandidateSet::CandidateSet(std::vector<Entry> entries)
+    : entries_(std::move(entries)) {
+  SANS_CHECK(std::adjacent_find(entries_.begin(), entries_.end(),
+                                [](const Entry& a, const Entry& b) {
+                                  return !(a.first < b.first);
+                                }) == entries_.end());
 }
 
-uint64_t CandidateSet::Count(ColumnPair pair) const {
-  auto it = counts_.find(pair);
-  return it == counts_.end() ? 0 : it->second;
-}
-
-void CandidateSet::Merge(const CandidateSet& other) {
-  for (const auto& [pair, count] : other.counts_) {
-    counts_[pair] += count;
-  }
-}
-
-void CandidateSet::PruneBelow(uint64_t min_count) {
-  for (auto it = counts_.begin(); it != counts_.end();) {
-    if (it->second < min_count) {
-      it = counts_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+CandidateSet::const_iterator CandidateSet::Find(ColumnPair pair) const {
+  const auto it = std::lower_bound(
+      entries_.begin(), entries_.end(), pair,
+      [](const Entry& entry, ColumnPair p) { return entry.first < p; });
+  return it != entries_.end() && it->first == pair ? it : entries_.end();
 }
 
 std::vector<ColumnPair> CandidateSet::SortedPairs() const {
   std::vector<ColumnPair> pairs;
-  pairs.reserve(counts_.size());
-  for (const auto& [pair, count] : counts_) pairs.push_back(pair);
-  std::sort(pairs.begin(), pairs.end());
+  pairs.reserve(entries_.size());
+  for (const auto& [pair, count] : entries_) pairs.push_back(pair);
   return pairs;
-}
-
-std::vector<std::pair<ColumnPair, uint64_t>> CandidateSet::SortedEntries()
-    const {
-  std::vector<std::pair<ColumnPair, uint64_t>> entries(counts_.begin(),
-                                                       counts_.end());
-  std::sort(entries.begin(), entries.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  return entries;
 }
 
 }  // namespace sans

@@ -79,14 +79,14 @@ void FlatBuckets::IndexSlots(
 }
 
 // Probes fixed chunks of kFlatBucketChunkCols columns — inline for a
-// null pool, else one ParallelFor index per chunk — and concatenates
-// the chunk outputs in chunk order.
+// null pool, else one ParallelFor index per chunk — and scatters the
+// chunk outputs, in chunk order, by first column.
 Result<CandidateSet> FlatBuckets::ProbeChunks(
     ThreadPool* pool, const ChunkFn& probe_chunk) const {
   const int64_t num_chunks =
       (static_cast<int64_t>(num_cols_) + kFlatBucketChunkCols - 1) /
       kFlatBucketChunkCols;
-  std::vector<std::vector<CountedPair>> outputs(num_chunks);
+  std::vector<std::vector<CandidateSet::Entry>> outputs(num_chunks);
   // Scratch arrays are reused across chunks: a worker takes an idle
   // one (or makes one) and returns it when its chunk is done, so at
   // most one exists per concurrently running worker.
@@ -119,15 +119,23 @@ Result<CandidateSet> FlatBuckets::ProbeChunks(
   } else {
     SANS_RETURN_IF_ERROR(pool->ParallelFor(num_chunks, run_chunk));
   }
-  CandidateSet candidates;
-  for (std::vector<CountedPair>& output : outputs) {
-    for (const auto& [pair, count] : output) candidates.Add(pair, count);
-    std::vector<CountedPair>().swap(output);  // free each chunk once copied
+  // Stable counting sort on the first column (see the header).
+  std::vector<size_t> next(static_cast<size_t>(num_cols_) + 1, 0);
+  for (const auto& output : outputs) {
+    for (const auto& [pair, count] : output) ++next[pair.first + 1];
+  }
+  for (ColumnId c = 0; c < num_cols_; ++c) next[c + 1] += next[c];
+  std::vector<CandidateSet::Entry> entries(next[num_cols_]);
+  for (std::vector<CandidateSet::Entry>& output : outputs) {
+    for (const CandidateSet::Entry& entry : output) {
+      entries[next[entry.first.first]++] = entry;
+    }
+    std::vector<CandidateSet::Entry>().swap(output);  // free once scattered
   }
   static Counter* const counter =
       MetricsRegistry::Global().GetCounter("sans_candgen_candidates_total");
-  counter->Increment(candidates.size());
-  return candidates;
+  counter->Increment(entries.size());
+  return CandidateSet(std::move(entries));
 }
 
 }  // namespace sans

@@ -21,9 +21,15 @@
 //     worker walks the run prefixes of i's slots into a touched-counter
 //     array. One worker sees all of column i's collisions, so every
 //     pair's count is exact where it is produced and the caller's keep
-//     predicate is applied right there. Chunk outputs are concatenated
-//     in chunk order, so the result does not depend on the thread
-//     count.
+//     predicate is applied right there.
+//  3. Candidate set. A chunk emits its pairs (j, i) by ascending probing
+//     column i, so across chunks in chunk order each first column j
+//     sees its partners i in ascending order. One stable counting sort
+//     on j, O(pairs + columns), therefore lays the pairs out in
+//     ascending pair order: no hash map and no comparison sort. The
+//     result does not depend on the thread count. A chunk's output is
+//     freed once scattered, so the peak is the 16-byte entry array plus
+//     the chunk outputs (16 bytes per pair each, plus vector slack).
 //
 // A column that contributes no keys never probes and never appears in
 // a run, so it never becomes a candidate.
@@ -80,10 +86,11 @@ class FlatBuckets {
   const std::vector<BucketRunStats>& run_stats() const { return run_stats_; }
 
   /// Every pair (j, i), j < i, sharing at least one key, with the
-  /// number of shared keys as its count, kept when keep(j, i, count).
-  /// Chunks of probing columns run on `pool` (null: inline on the
-  /// calling thread); the output is identical for any pool. The one
-  /// site that reports into sans_candgen_candidates_total.
+  /// number of shared keys as its count, kept when keep(j, i, count),
+  /// in ascending pair order. Chunks of probing columns run on `pool`
+  /// (null: inline on the calling thread); the output is identical for
+  /// any pool. The one site that reports into
+  /// sans_candgen_candidates_total.
   template <typename KeepFn>
   Result<CandidateSet> Count(ThreadPool* pool, const KeepFn& keep) const;
 
@@ -99,10 +106,9 @@ class FlatBuckets {
     std::vector<uint32_t> counter;
     std::vector<ColumnId> touched;
   };
-  using CountedPair = std::pair<ColumnPair, uint64_t>;
-  using ChunkFn = std::function<void(ColumnId begin, ColumnId end,
-                                     Scratch* scratch,
-                                     std::vector<CountedPair>* out)>;
+  using ChunkFn = std::function<void(
+      ColumnId begin, ColumnId end, Scratch* scratch,
+      std::vector<CandidateSet::Entry>* out)>;
 
   // Sorts one table's keys into runs appended to cols_, recording each
   // key's (column, run start) in `slots` and the table's run_stats_.
@@ -110,7 +116,8 @@ class FlatBuckets {
                 std::vector<std::pair<ColumnId, uint32_t>>* slots);
   // Groups `slots` by column into slot_begin_ and run_start_.
   void IndexSlots(const std::vector<std::pair<ColumnId, uint32_t>>& slots);
-  // Runs probe_chunk over every chunk, then concatenates the outputs.
+  // Runs probe_chunk over every chunk, then counting-sorts the outputs
+  // into the candidate set.
   Result<CandidateSet> ProbeChunks(ThreadPool* pool,
                                    const ChunkFn& probe_chunk) const;
 
@@ -151,7 +158,7 @@ template <typename KeepFn>
 Result<CandidateSet> FlatBuckets::Count(ThreadPool* pool,
                                         const KeepFn& keep) const {
   return ProbeChunks(pool, [&](ColumnId begin, ColumnId end, Scratch* scratch,
-                               std::vector<CountedPair>* out) {
+                               std::vector<CandidateSet::Entry>* out) {
     std::vector<uint32_t>& counter = scratch->counter;
     std::vector<ColumnId>& touched = scratch->touched;
     for (ColumnId i = begin; i < end; ++i) {

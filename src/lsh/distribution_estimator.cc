@@ -99,12 +99,17 @@ Result<SimilarityDistribution> EstimateSimilarityDistributionSketch(
   SANS_ASSIGN_OR_RETURN(SignatureMatrix signatures,
                         generator.Compute(&stream));
 
-  const CandidateSet sharing = HashCountMinHash(signatures, 1);
+  // The engine keeps exactly the pairs whose estimate a / k reaches
+  // min_similarity: the smallest such a ≥ 1 is its threshold.
+  int min_agreements = 1;
+  while (static_cast<double>(min_agreements) / options.num_hashes <
+         options.min_similarity) {
+    ++min_agreements;
+  }
+  const CandidateSet sharing = HashCountMinHash(signatures, min_agreements);
   HistogramAccumulator hist(options.num_bins, /*drop_zeros=*/true);
   for (const auto& [pair, agreements] : sharing) {
-    const double estimate =
-        static_cast<double>(agreements) / options.num_hashes;
-    if (estimate >= options.min_similarity) hist.Add(estimate, 1.0);
+    hist.Add(static_cast<double>(agreements) / options.num_hashes, 1.0);
   }
   return hist.Finish();
 }

@@ -48,7 +48,8 @@ Result<ConfidenceReport> ConfidenceMiner::Mine(const RowStreamSource& source,
   // Phase 2: enumerate pairs sharing at least one min-hash value and
   // apply the Section 6 candidate tests. A rule whose similarity
   // falls below ~1/k is invisible here — the paper's "we may require
-  // a bigger table M̂" caveat; raise k for very asymmetric rules.
+  // a bigger table M̂" caveat; raise k for very asymmetric rules. The
+  // set is in ascending pair order, so the candidates are too.
   std::vector<ColumnPair> candidates;
   {
     ScopedPhase phase(&report.timers, kPhaseCandidates);
@@ -84,7 +85,6 @@ Result<ConfidenceReport> ConfidenceMiner::Mine(const RowStreamSource& source,
       }
       if (is_candidate) candidates.push_back(pair);
     }
-    std::sort(candidates.begin(), candidates.end());
   }
   report.num_candidates = candidates.size();
 

@@ -1,5 +1,7 @@
 #include "mine/kmh_miner.h"
 
+#include <utility>
+
 #include "candgen/candidate_set.h"
 #include "candgen/hash_count.h"
 #include "mine/parallel.h"
@@ -19,14 +21,21 @@ Status KmhMinerConfig::Validate() const {
   return Status::OK();
 }
 
+namespace {
+
+double UnbiasedEstimate(const KMinHashSketch& sketch, ColumnPair pair) {
+  return EstimateSimilarityUnbiased(
+      sketch.Signature(pair.first), sketch.Signature(pair.second), sketch.k());
+}
+
+}  // namespace
+
 std::vector<SimilarPair> PruneByUnbiasedEstimate(
     const KMinHashSketch& sketch, const CandidateSet& candidates,
     double floor) {
   std::vector<SimilarPair> survivors;
-  for (const ColumnPair& pair : candidates.SortedPairs()) {
-    const double estimate = EstimateSimilarityUnbiased(
-        sketch.Signature(pair.first), sketch.Signature(pair.second),
-        sketch.k());
+  for (const auto& [pair, count] : candidates) {
+    const double estimate = UnbiasedEstimate(sketch, pair);
     if (estimate >= floor) survivors.push_back(SimilarPair{pair, estimate});
   }
   return survivors;
@@ -57,12 +66,10 @@ Result<CandidateSet> KmhMiner::Candidates(const KMinHashSketch& sketch,
       HashCountKMinHashAdaptiveParallel(
           sketch, config_.hash_count_slack * threshold, pool));
   if (!config_.unbiased_pruning) return candidates;
-  CandidateSet survivors;
-  for (const SimilarPair& survivor : PruneByUnbiasedEstimate(
-           sketch, candidates, (1.0 - config_.delta) * threshold)) {
-    survivors.Add(survivor.pair, candidates.Count(survivor.pair));
-  }
-  return survivors;
+  const double floor = (1.0 - config_.delta) * threshold;
+  return std::move(candidates).Filter([&](const CandidateSet::Entry& entry) {
+    return UnbiasedEstimate(sketch, entry.first) >= floor;
+  });
 }
 
 }  // namespace sans

@@ -41,7 +41,6 @@ Status OnlineMlshMiner::Start(const RowStreamSource& source,
   threshold_ = threshold;
   next_band_ = 0;
   seen_candidates_.clear();
-  found_set_.clear();
   found_.clear();
   return Status::OK();
 }
@@ -73,7 +72,7 @@ Result<OnlineStepResult> OnlineMlshMiner::Step() {
 
   // Keep the candidates not seen in earlier bands.
   std::vector<ColumnPair> fresh;
-  for (const ColumnPair& pair : band_pairs.SortedPairs()) {
+  for (const auto& [pair, count] : band_pairs) {
     if (seen_candidates_.insert(pair).second) fresh.push_back(pair);
   }
 
@@ -84,17 +83,13 @@ Result<OnlineStepResult> OnlineMlshMiner::Step() {
       std::pow(1.0 - std::pow(threshold_, r), next_band_);
 
   // Verify just the fresh candidates ("new false positives ... can be
-  // removed at a small additional cost").
+  // removed at a small additional cost"). A pair is fresh in one step
+  // only, so no confirmed pair was found before.
   if (!fresh.empty()) {
-    SANS_ASSIGN_OR_RETURN(
-        std::vector<SimilarPair> confirmed,
-        VerifyCandidates(*source_, fresh, threshold_));
-    for (const SimilarPair& p : confirmed) {
-      if (found_set_.insert(p.pair).second) {
-        result.new_pairs.push_back(p);
-        found_.push_back(p);
-      }
-    }
+    SANS_ASSIGN_OR_RETURN(result.new_pairs,
+                          VerifyCandidates(*source_, fresh, threshold_));
+    found_.insert(found_.end(), result.new_pairs.begin(),
+                  result.new_pairs.end());
     SortPairs(&result.new_pairs);
   }
   return result;

@@ -99,7 +99,6 @@ class OnlineMlshMiner {
   SignatureMatrix signatures_;
   int next_band_ = 0;
   std::unordered_set<ColumnPair, ColumnPairHash> seen_candidates_;
-  std::unordered_set<ColumnPair, ColumnPairHash> found_set_;
   std::vector<SimilarPair> found_;
 };
 

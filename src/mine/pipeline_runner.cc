@@ -332,14 +332,6 @@ Result<std::vector<SimilarPair>> ReadArtifact(const std::string& path) {
   return ReadSimilarPairs(path);
 }
 
-// A miner config with the pipeline's execution knobs.
-template <typename MinerConfig>
-MinerConfig WithExecution(MinerConfig config,
-                          const ExecutionConfig& execution) {
-  config.execution = execution;
-  return config;
-}
-
 }  // namespace
 
 RunReport BuildRunReport(const std::string& algorithm, double threshold,
@@ -379,25 +371,8 @@ Result<PipelineRunSummary> PipelineRunner::Run(
   SANS_RETURN_IF_ERROR(config_.Validate());
   // Phases 1-2 are the configured miner's own stage methods, run with
   // the pipeline's execution knobs.
-  switch (config_.algorithm) {
-    case PipelineAlgorithm::kMh: {
-      MhMiner miner(WithExecution(config_.mh, config_.execution));
-      return RunStages(miner, source);
-    }
-    case PipelineAlgorithm::kKmh: {
-      KmhMiner miner(WithExecution(config_.kmh, config_.execution));
-      return RunStages(miner, source);
-    }
-    case PipelineAlgorithm::kMlsh: {
-      MlshMiner miner(WithExecution(config_.mlsh, config_.execution));
-      return RunStages(miner, source);
-    }
-    case PipelineAlgorithm::kHlsh: {
-      HlshMiner miner(WithExecution(config_.hlsh, config_.execution));
-      return RunStages(miner, source);
-    }
-  }
-  return Status::InvalidArgument("unknown pipeline algorithm");
+  return WithSelectedMiner(
+      config_, [&](auto& miner) { return RunStages(miner, source); });
 }
 
 template <typename StagedMiner>

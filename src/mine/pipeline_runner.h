@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "matrix/resilient_row_stream.h"
@@ -79,6 +80,38 @@ struct PipelineConfig {
 
   Status Validate() const;
 };
+
+/// Calls fn(miner) on the miner `config.algorithm` selects, built from
+/// its config with `config.execution`, and returns fn's result. The
+/// checkpointed runner and the CLI's plain `sans mine` both dispatch
+/// through it.
+template <typename Fn>
+auto WithSelectedMiner(const PipelineConfig& config, const Fn& fn)
+    -> decltype(fn(std::declval<MhMiner&>())) {
+  const auto with_execution = [&](auto miner_config) {
+    miner_config.execution = config.execution;
+    return miner_config;
+  };
+  switch (config.algorithm) {
+    case PipelineAlgorithm::kMh: {
+      MhMiner miner(with_execution(config.mh));
+      return fn(miner);
+    }
+    case PipelineAlgorithm::kKmh: {
+      KmhMiner miner(with_execution(config.kmh));
+      return fn(miner);
+    }
+    case PipelineAlgorithm::kMlsh: {
+      MlshMiner miner(with_execution(config.mlsh));
+      return fn(miner);
+    }
+    case PipelineAlgorithm::kHlsh: {
+      HlshMiner miner(with_execution(config.hlsh));
+      return fn(miner);
+    }
+  }
+  return Status::InvalidArgument("unknown pipeline algorithm");
+}
 
 /// Outcome of a pipeline run: the usual mining report plus checkpoint
 /// reuse and fault-tolerance accounting.

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 namespace sans {
 namespace {
 
@@ -20,55 +23,45 @@ TEST(ColumnPairTest, OrderingAndHash) {
   EXPECT_NE(hash(ColumnPair(3, 4)), hash(ColumnPair(3, 5)));
 }
 
-TEST(CandidateSetTest, AddAccumulatesCounts) {
-  CandidateSet set;
-  set.Add(ColumnPair(1, 2));
-  set.Add(ColumnPair(2, 1), 3);
-  EXPECT_EQ(set.size(), 1u);
+TEST(CandidateSetTest, CountAndContainsFindEntries) {
+  const CandidateSet set({{ColumnPair(0, 4), 2},
+                          {ColumnPair(1, 2), 4},
+                          {ColumnPair(1, 3), 1},
+                          {ColumnPair(3, 9), 6}});
+  EXPECT_EQ(set.size(), 4u);
   EXPECT_EQ(set.Count(ColumnPair(1, 2)), 4u);
-  EXPECT_TRUE(set.Contains(ColumnPair(1, 2)));
-  EXPECT_FALSE(set.Contains(ColumnPair(1, 3)));
-  EXPECT_EQ(set.Count(ColumnPair(1, 3)), 0u);
+  EXPECT_EQ(set.Count(ColumnPair(2, 1)), 4u);
+  EXPECT_EQ(set.Count(ColumnPair(3, 9)), 6u);
+  EXPECT_TRUE(set.Contains(ColumnPair(0, 4)));
+  EXPECT_FALSE(set.Contains(ColumnPair(1, 4)));
+  EXPECT_FALSE(set.Contains(ColumnPair(4, 9)));
+  EXPECT_EQ(set.Count(ColumnPair(1, 4)), 0u);
+  EXPECT_EQ(set.Count(ColumnPair(0, 1)), 0u);
 }
 
-TEST(CandidateSetTest, InsertDoesNotBumpCount) {
-  CandidateSet set;
-  set.Insert(ColumnPair(1, 2));
-  EXPECT_EQ(set.Count(ColumnPair(1, 2)), 0u);
-  set.Add(ColumnPair(1, 2), 2);
-  set.Insert(ColumnPair(1, 2));
-  EXPECT_EQ(set.Count(ColumnPair(1, 2)), 2u);
+TEST(CandidateSetTest, ConstructorRejectsUnsortedOrRepeatedPairs) {
+  EXPECT_DEATH(CandidateSet({{ColumnPair(1, 2), 1}, {ColumnPair(0, 5), 1}}),
+               "");
+  EXPECT_DEATH(CandidateSet({{ColumnPair(1, 2), 1}, {ColumnPair(1, 2), 3}}),
+               "");
 }
 
-TEST(CandidateSetTest, MergeSumsCounts) {
-  CandidateSet a;
-  a.Add(ColumnPair(1, 2), 2);
-  a.Add(ColumnPair(3, 4), 1);
-  CandidateSet b;
-  b.Add(ColumnPair(1, 2), 5);
-  b.Add(ColumnPair(5, 6), 1);
-  a.Merge(b);
-  EXPECT_EQ(a.size(), 3u);
-  EXPECT_EQ(a.Count(ColumnPair(1, 2)), 7u);
-  EXPECT_EQ(a.Count(ColumnPair(5, 6)), 1u);
-}
-
-TEST(CandidateSetTest, PruneBelowDropsWeakPairs) {
-  CandidateSet set;
-  set.Add(ColumnPair(1, 2), 1);
-  set.Add(ColumnPair(3, 4), 5);
-  set.Add(ColumnPair(5, 6), 3);
-  set.PruneBelow(3);
-  EXPECT_EQ(set.size(), 2u);
-  EXPECT_FALSE(set.Contains(ColumnPair(1, 2)));
-  EXPECT_TRUE(set.Contains(ColumnPair(3, 4)));
+TEST(CandidateSetTest, FilterKeepsOrderAndCounts) {
+  CandidateSet set({{ColumnPair(0, 1), 1},
+                    {ColumnPair(0, 2), 5},
+                    {ColumnPair(1, 2), 2},
+                    {ColumnPair(2, 3), 7}});
+  const CandidateSet kept = std::move(set).Filter(
+      [](const CandidateSet::Entry& entry) { return entry.second >= 2; });
+  const std::vector<CandidateSet::Entry> expected = {
+      {ColumnPair(0, 2), 5}, {ColumnPair(1, 2), 2}, {ColumnPair(2, 3), 7}};
+  EXPECT_EQ(kept.SortedEntries(), expected);
 }
 
 TEST(CandidateSetTest, SortedPairsIsDeterministic) {
-  CandidateSet set;
-  set.Add(ColumnPair(9, 1), 1);
-  set.Add(ColumnPair(0, 5), 1);
-  set.Add(ColumnPair(0, 2), 1);
+  const CandidateSet set({{ColumnPair(0, 2), 1},
+                          {ColumnPair(0, 5), 1},
+                          {ColumnPair(9, 1), 1}});
   const auto pairs = set.SortedPairs();
   ASSERT_EQ(pairs.size(), 3u);
   EXPECT_EQ(pairs[0], ColumnPair(0, 2));
@@ -77,23 +70,29 @@ TEST(CandidateSetTest, SortedPairsIsDeterministic) {
 }
 
 TEST(CandidateSetTest, SortedEntriesCarryCounts) {
-  CandidateSet set;
-  set.Add(ColumnPair(2, 3), 7);
-  set.Add(ColumnPair(0, 1), 4);
-  const auto entries = set.SortedEntries();
+  const CandidateSet set({{ColumnPair(0, 1), 4}, {ColumnPair(2, 3), 7}});
+  const auto& entries = set.SortedEntries();
   ASSERT_EQ(entries.size(), 2u);
   EXPECT_EQ(entries[0].first, ColumnPair(0, 1));
   EXPECT_EQ(entries[0].second, 4u);
   EXPECT_EQ(entries[1].second, 7u);
+  // Range-for walks the same entries.
+  size_t i = 0;
+  for (const auto& [pair, count] : set) {
+    EXPECT_EQ(pair, entries[i].first);
+    EXPECT_EQ(count, entries[i].second);
+    ++i;
+  }
+  EXPECT_EQ(i, entries.size());
 }
 
 TEST(CandidateSetTest, EmptySetBehaves) {
-  CandidateSet set;
+  const CandidateSet set;
   EXPECT_TRUE(set.empty());
   EXPECT_EQ(set.size(), 0u);
   EXPECT_TRUE(set.SortedPairs().empty());
-  set.PruneBelow(10);  // no-op on empty
-  EXPECT_TRUE(set.empty());
+  EXPECT_FALSE(set.Contains(ColumnPair(0, 1)));
+  EXPECT_EQ(set.begin(), set.end());
 }
 
 }  // namespace

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "data/weblog_generator.h"
+#include "matrix/row_stream.h"
+#include "sketch/min_hash.h"
 
 namespace sans {
 namespace {
@@ -171,6 +176,58 @@ TEST(SketchDistributionTest, DropsMassBelowFloor) {
   ASSERT_TRUE(sketched.ok());
   for (double s : sketched->similarity) {
     EXPECT_GE(s, 0.3 - 1e-9);
+  }
+}
+
+// The sketch histogram equals a brute-force agreement count over all
+// pairs of non-empty columns: estimate a / k for every pair with
+// a >= 1 and a / k >= min_similarity, binned as the estimator bins.
+TEST(SketchDistributionTest, MatchesBruteForceAgreementHistogram) {
+  const WeblogDataset data = SmallWeblog();
+  // 0.25 with k = 48 falls exactly on a = 12; 0.1 falls between a = 4
+  // and a = 5; 0 keeps every pair sharing a value.
+  for (const double min_similarity : {0.0, 0.1, 0.25}) {
+    SketchDistributionOptions options;
+    options.num_hashes = 48;
+    options.min_similarity = min_similarity;
+    options.seed = 3;
+    auto sketched = EstimateSimilarityDistributionSketch(data.matrix, options);
+    ASSERT_TRUE(sketched.ok());
+
+    MinHashConfig config;
+    config.num_hashes = options.num_hashes;
+    config.seed = options.seed;
+    InMemoryRowStream stream(&data.matrix);
+    auto signatures = MinHashGenerator(config).Compute(&stream);
+    ASSERT_TRUE(signatures.ok());
+    std::vector<double> bins(options.num_bins, 0.0);
+    const ColumnId m = data.matrix.num_cols();
+    for (ColumnId a = 0; a < m; ++a) {
+      for (ColumnId b = a + 1; b < m; ++b) {
+        if (signatures->ColumnEmpty(a) || signatures->ColumnEmpty(b)) continue;
+        int agreements = 0;
+        for (int l = 0; l < options.num_hashes; ++l) {
+          agreements += signatures->Value(l, a) == signatures->Value(l, b);
+        }
+        const double estimate =
+            static_cast<double>(agreements) / options.num_hashes;
+        if (agreements == 0 || estimate < min_similarity) continue;
+        const int bin = std::min(
+            static_cast<int>(estimate * options.num_bins), options.num_bins - 1);
+        bins[bin] += 1.0;
+      }
+    }
+    SimilarityDistribution expected;
+    for (int i = 0; i < options.num_bins; ++i) {
+      if (bins[i] == 0.0) continue;
+      expected.similarity.push_back((i + 0.5) / options.num_bins);
+      expected.count.push_back(bins[i]);
+    }
+    ASSERT_FALSE(expected.count.empty());
+    EXPECT_EQ(sketched->similarity, expected.similarity)
+        << "min_similarity=" << min_similarity;
+    EXPECT_EQ(sketched->count, expected.count)
+        << "min_similarity=" << min_similarity;
   }
 }
 

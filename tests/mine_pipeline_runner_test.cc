@@ -5,10 +5,12 @@
 
 #include <filesystem>
 #include <fstream>
+#include <tuple>
 
 #include "candgen/candidate_io.h"
 #include "data/synthetic_generator.h"
 #include "matrix/row_stream.h"
+#include "util/checksum_io.h"
 
 namespace sans {
 namespace {
@@ -434,10 +436,9 @@ TEST_F(PipelineRunnerTest, ResumeAcrossThreadCountsIsBitIdentical) {
 
 TEST_F(PipelineRunnerTest, CandidateIoRoundTrips) {
   std::filesystem::create_directories(Dir());
-  CandidateSet candidates;
-  candidates.Add(ColumnPair(1, 5), 3);
-  candidates.Add(ColumnPair(0, 2), 7);
-  candidates.Insert(ColumnPair(4, 9));
+  const CandidateSet candidates({{ColumnPair(0, 2), 7},
+                                 {ColumnPair(1, 5), 3},
+                                 {ColumnPair(4, 9), 0}});
   const std::string path = Path("cands.bin");
   ASSERT_TRUE(WriteCandidateSet(candidates, path).ok());
   auto loaded = ReadCandidateSet(path);
@@ -461,9 +462,8 @@ TEST_F(PipelineRunnerTest, CandidateIoRoundTrips) {
 
 TEST_F(PipelineRunnerTest, CorruptCandidateArtifactRejected) {
   std::filesystem::create_directories(Dir());
-  CandidateSet candidates;
-  candidates.Add(ColumnPair(1, 5), 3);
-  candidates.Add(ColumnPair(2, 6), 1);
+  const CandidateSet candidates({{ColumnPair(1, 5), 3},
+                                 {ColumnPair(2, 6), 1}});
   const std::string path = Path("cands.bin");
   ASSERT_TRUE(WriteCandidateSet(candidates, path).ok());
   {
@@ -480,6 +480,43 @@ TEST_F(PipelineRunnerTest, CorruptCandidateArtifactRejected) {
   auto loaded = ReadCandidateSet(path);
   EXPECT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+}
+
+// A candidate file with these raw entries and a valid checksum.
+void WriteRawCandidateFile(
+    const std::string& path,
+    const std::vector<std::tuple<ColumnId, ColumnId, uint64_t>>& entries) {
+  File file(std::fopen(path.c_str(), "wb"));
+  ASSERT_NE(file, nullptr);
+  CrcFile f{file.get()};
+  ASSERT_TRUE(f.WriteScalar(kCandidateFileMagic).ok());
+  ASSERT_TRUE(f.WriteScalar(kCandidateIoVersion).ok());
+  ASSERT_TRUE(f.WriteScalar(static_cast<uint64_t>(entries.size())).ok());
+  for (const auto& [first, second, count] : entries) {
+    ASSERT_TRUE(f.WriteScalar(first).ok());
+    ASSERT_TRUE(f.WriteScalar(second).ok());
+    ASSERT_TRUE(f.WriteScalar(count).ok());
+  }
+  ASSERT_TRUE(f.WriteTrailer().ok());
+}
+
+TEST_F(PipelineRunnerTest, UnorderedCandidateArtifactRejected) {
+  std::filesystem::create_directories(Dir());
+  const std::string path = Path("cands.bin");
+  WriteRawCandidateFile(path, {{0, 2, 1}, {1, 5, 3}});
+  ASSERT_TRUE(ReadCandidateSet(path).ok());
+  const std::vector<std::vector<std::tuple<ColumnId, ColumnId, uint64_t>>>
+      corrupt = {
+          {{1, 5, 3}, {0, 2, 1}},  // out of order
+          {{0, 2, 1}, {0, 2, 4}},  // repeated pair
+          {{5, 1, 3}},             // columns not ascending
+      };
+  for (const auto& entries : corrupt) {
+    WriteRawCandidateFile(path, entries);
+    auto loaded = ReadCandidateSet(path);
+    EXPECT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+  }
 }
 
 // The miner a pipeline config selects, with the pipeline's execution

@@ -269,36 +269,47 @@ int PrintPairs(const MiningReport& report) {
   return 0;
 }
 
+/// The mining flags as a pipeline config: `algorithm` (mh|kmh|mlsh|
+/// hlsh), --threshold, the execution knobs and all four miner configs
+/// from --k/--delta/--r/--l/--seed; only the selected one is consulted.
+Result<PipelineConfig> ParseMineConfig(const Args& args,
+                                       const std::string& algorithm) {
+  static const std::map<std::string, PipelineAlgorithm> kAlgorithms = {
+      {"mh", PipelineAlgorithm::kMh},
+      {"kmh", PipelineAlgorithm::kKmh},
+      {"mlsh", PipelineAlgorithm::kMlsh},
+      {"hlsh", PipelineAlgorithm::kHlsh}};
+  const auto it = kAlgorithms.find(algorithm);
+  if (it == kAlgorithms.end()) {
+    return Status::InvalidArgument("unknown --algorithm '" + algorithm + "'");
+  }
+  PipelineConfig config;
+  config.algorithm = it->second;
+  config.threshold = args.GetDouble("threshold", 0.5);
+  SANS_ASSIGN_OR_RETURN(config.execution, ParseExecution(args));
+  const uint64_t seed = args.GetInt("seed", 0);
+  const int k = static_cast<int>(args.GetInt("k", 100));
+  const double delta = args.GetDouble("delta", 0.25);
+  config.mh.min_hash.num_hashes = k;
+  config.mh.min_hash.seed = seed;
+  config.mh.delta = delta;
+  config.kmh.sketch.k = k;
+  config.kmh.sketch.seed = seed;
+  config.kmh.delta = delta;
+  config.mlsh.lsh.rows_per_band = static_cast<int>(args.GetInt("r", 5));
+  config.mlsh.lsh.num_bands = static_cast<int>(args.GetInt("l", 20));
+  config.mlsh.seed = seed;
+  config.hlsh.lsh.rows_per_run = static_cast<int>(args.GetInt("r", 12));
+  config.hlsh.lsh.num_runs = static_cast<int>(args.GetInt("l", 4));
+  config.hlsh.lsh.seed = seed;
+  return config;
+}
+
 /// Checkpointed mining via the fault-tolerant pipeline runner.
 /// Selected by --checkpoint-dir; --resume reuses completed stages,
 /// --max-retries and --max-skipped-rows tune the resilient scans.
 int RunPipelineMine(const Args& args, const std::string& algorithm) {
-  PipelineConfig config;
-  const uint64_t seed = args.GetInt("seed", 0);
-  auto execution = ParseExecution(args);
-  if (!execution.ok()) return Fail(execution.status());
-  config.execution = *execution;
-  if (algorithm == "mh") {
-    config.algorithm = PipelineAlgorithm::kMh;
-    config.mh.min_hash.num_hashes = static_cast<int>(args.GetInt("k", 100));
-    config.mh.min_hash.seed = seed;
-    config.mh.delta = args.GetDouble("delta", 0.25);
-  } else if (algorithm == "kmh") {
-    config.algorithm = PipelineAlgorithm::kKmh;
-    config.kmh.sketch.k = static_cast<int>(args.GetInt("k", 100));
-    config.kmh.sketch.seed = seed;
-    config.kmh.delta = args.GetDouble("delta", 0.25);
-  } else if (algorithm == "mlsh") {
-    config.algorithm = PipelineAlgorithm::kMlsh;
-    config.mlsh.lsh.rows_per_band = static_cast<int>(args.GetInt("r", 5));
-    config.mlsh.lsh.num_bands = static_cast<int>(args.GetInt("l", 20));
-    config.mlsh.seed = seed;
-  } else if (algorithm == "hlsh") {
-    config.algorithm = PipelineAlgorithm::kHlsh;
-    config.hlsh.lsh.rows_per_run = static_cast<int>(args.GetInt("r", 12));
-    config.hlsh.lsh.num_runs = static_cast<int>(args.GetInt("l", 4));
-    config.hlsh.lsh.seed = seed;
-  } else {
+  if (algorithm == "auto") {
     // "auto" derives (r, l) from the data, so its parameters are not a
     // pure function of the flags and a resumed run could not prove the
     // checkpoints match.
@@ -308,7 +319,9 @@ int RunPipelineMine(const Args& args, const std::string& algorithm) {
                  algorithm.c_str());
     return 2;
   }
-  config.threshold = args.GetDouble("threshold", 0.5);
+  auto parsed = ParseMineConfig(args, algorithm);
+  if (!parsed.ok()) return Fail(parsed.status());
+  PipelineConfig& config = *parsed;
   config.run_report_path = args.GetString("run-report", "");
   config.checkpoint_dir = args.Require("checkpoint-dir");
   config.resume = args.GetBool("resume", false);
@@ -351,63 +364,22 @@ int RunPipelineMine(const Args& args, const std::string& algorithm) {
 }
 
 int RunMine(const Args& args) {
-  if (args.Has("checkpoint-dir")) {
-    return RunPipelineMine(args, args.GetString("algorithm", "mlsh"));
-  }
+  const std::string algorithm = args.GetString("algorithm", "mlsh");
+  if (args.Has("checkpoint-dir")) return RunPipelineMine(args, algorithm);
   if (args.Has("resume") || args.Has("max-retries") ||
       args.Has("max-skipped-rows")) {
     std::fprintf(stderr,
                  "warning: --resume/--max-retries/--max-skipped-rows take "
                  "effect only with --checkpoint-dir; ignoring\n");
   }
+  // "auto" mines with M-LSH, whose (r, l) it derives below.
+  auto config = ParseMineConfig(args, algorithm == "auto" ? "mlsh" : algorithm);
+  if (!config.ok()) return Fail(config.status());
   auto input = OpenInput(args.Require("in"));
   if (!input.ok()) return Fail(input.status());
   const RowStreamSource& source = *input->source;
-  const double threshold = args.GetDouble("threshold", 0.5);
-  const uint64_t seed = args.GetInt("seed", 0);
-  const std::string algorithm = args.GetString("algorithm", "mlsh");
-  auto execution = ParseExecution(args);
-  if (!execution.ok()) return Fail(execution.status());
 
-  // Counter deltas across the miner call feed the run report, built by
-  // the same BuildRunReport as the checkpointed path's.
-  const MetricsSnapshot metrics_before =
-      MetricsRegistry::Global().Snapshot();
-
-  Result<MiningReport> report = Status::Unimplemented("");
-  if (algorithm == "mh") {
-    MhMinerConfig config;
-    config.min_hash.num_hashes = static_cast<int>(args.GetInt("k", 100));
-    config.min_hash.seed = seed;
-    config.delta = args.GetDouble("delta", 0.25);
-    config.execution = *execution;
-    MhMiner miner(config);
-    report = miner.Mine(source, threshold);
-  } else if (algorithm == "kmh") {
-    KmhMinerConfig config;
-    config.sketch.k = static_cast<int>(args.GetInt("k", 100));
-    config.sketch.seed = seed;
-    config.delta = args.GetDouble("delta", 0.25);
-    config.execution = *execution;
-    KmhMiner miner(config);
-    report = miner.Mine(source, threshold);
-  } else if (algorithm == "mlsh") {
-    MlshMinerConfig config;
-    config.lsh.rows_per_band = static_cast<int>(args.GetInt("r", 5));
-    config.lsh.num_bands = static_cast<int>(args.GetInt("l", 20));
-    config.seed = seed;
-    config.execution = *execution;
-    MlshMiner miner(config);
-    report = miner.Mine(source, threshold);
-  } else if (algorithm == "hlsh") {
-    HlshMinerConfig config;
-    config.lsh.rows_per_run = static_cast<int>(args.GetInt("r", 12));
-    config.lsh.num_runs = static_cast<int>(args.GetInt("l", 4));
-    config.lsh.seed = seed;
-    config.execution = *execution;
-    HlshMiner miner(config);
-    report = miner.Mine(source, threshold);
-  } else if (algorithm == "auto") {
+  if (algorithm == "auto") {
     // Section 4.1 input-sensitive mode: estimate the similarity
     // distribution (column sample for the low mass, min-hash sketch
     // for the high tail) and optimize (r, l). The estimators sample
@@ -420,6 +392,7 @@ int RunMine(const Args& args) {
       if (!loaded.ok()) return Fail(loaded.status());
       matrix = &loaded.value();
     }
+    const uint64_t seed = args.GetInt("seed", 0);
     DistributionEstimatorOptions est;
     est.sample_columns = static_cast<ColumnId>(args.GetInt("sample", 500));
     est.seed = seed;
@@ -432,30 +405,31 @@ int RunMine(const Args& args) {
     const SimilarityDistribution distr =
         MergeDistributions(*low, *high, 0.25);
     LshOptimizerOptions opt;
-    opt.s0 = threshold;
+    opt.s0 = config->threshold;
     opt.max_false_negatives = args.GetDouble("max-fn", 5.0);
     opt.max_false_positives = args.GetDouble("max-fp", 1e6);
     auto optimized = MlshMiner::FromDistribution(distr, opt,
                                                  HashFamily::kSplitMix64, seed);
     if (!optimized.ok()) return Fail(optimized.status());
+    config->mlsh = optimized->config();
     std::fprintf(stderr, "auto-selected r=%d l=%d\n",
-                 optimized->config().lsh.rows_per_band,
-                 optimized->config().lsh.num_bands);
-    // Rebuild with the execution knobs (FromDistribution only derives
-    // the algorithmic parameters).
-    MlshMinerConfig config = optimized->config();
-    config.execution = *execution;
-    MlshMiner miner(config);
-    report = miner.Mine(source, threshold);
-  } else {
-    std::fprintf(stderr, "unknown --algorithm '%s'\n", algorithm.c_str());
-    return 2;
+                 config->mlsh.lsh.rows_per_band, config->mlsh.lsh.num_bands);
   }
+
+  // Counter deltas across the miner call (not the estimation above)
+  // feed the run report, built by the same BuildRunReport as the
+  // checkpointed path's.
+  const MetricsSnapshot metrics_before =
+      MetricsRegistry::Global().Snapshot();
+  const Result<MiningReport> report =
+      WithSelectedMiner(*config, [&](auto& miner) {
+        return miner.Mine(source, config->threshold);
+      });
   if (!report.ok()) return Fail(report.status());
 
-  const RunReport run_report =
-      BuildRunReport(algorithm, threshold, source, execution->num_threads,
-                     *report, metrics_before);
+  const RunReport run_report = BuildRunReport(
+      algorithm, config->threshold, source, config->execution.num_threads,
+      *report, metrics_before);
   if (args.Has("run-report")) {
     const std::string path = args.Require("run-report");
     if (const Status s = WriteRunReport(run_report, path); !s.ok()) {
