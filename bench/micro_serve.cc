@@ -115,7 +115,7 @@ int Main() {
     config.num_docs = 4'000;
     config.vocab_size = 1'000;
   } else {
-    // 1M-row index: queries only touch sketches and buckets, so the
+    // 1M-row index: queries only touch sketches and postings, so the
     // row count exercises the build path and file size, not latency.
     config.num_docs = 1'000'000;
     config.vocab_size = 5'000;
@@ -129,8 +129,6 @@ int Main() {
 
   SimilarityIndexConfig index_config;
   index_config.sketch_k = 256;
-  index_config.rows_per_band = 4;
-  index_config.num_bands = 16;
   index_config.seed = 17;
   const std::filesystem::path index_path =
       std::filesystem::temp_directory_path() / "sans_bench_serve.sidx";
@@ -188,8 +186,6 @@ int Main() {
       {{"rows", bench::JsonNumber(num_rows)},
        {"cols", bench::JsonNumber(num_cols)},
        {"sketch_k", bench::JsonNumber(index_config.sketch_k)},
-       {"rows_per_band", bench::JsonNumber(index_config.rows_per_band)},
-       {"num_bands", bench::JsonNumber(index_config.num_bands)},
        {"queries_per_phase", bench::JsonNumber(queries)},
        {"index_build_seconds", bench::JsonNumber(build_seconds)},
        {"hardware_threads",

@@ -46,6 +46,7 @@ void FlatBuckets::AddTable(uint32_t table, std::vector<Key>* keys,
   }
 
   SANS_CHECK_LT(cols_.size() + keys->size(), uint64_t{1} << 32);
+  run_begins_.resize((cols_.size() + keys->size()) / 64 + 1, 0);
   BucketRunStats& stats = run_stats_[table];
   uint32_t run_start = 0;
   for (size_t k = 0; k < keys->size(); ++k) {
@@ -53,10 +54,12 @@ void FlatBuckets::AddTable(uint32_t table, std::vector<Key>* keys,
     if (k == 0 || (*keys)[k].value != (*keys)[k - 1].value) {
       run_start = p;
       ++stats.runs;
+      MarkRunBegin(p);
     }
     // Entry p is the (p - run_start)-th member of its run: it pairs
     // with every earlier one.
     stats.pairs += p - run_start;
+    stats.longest = std::max<uint64_t>(stats.longest, p - run_start + 1);
     cols_.push_back((*keys)[k].column);
     slots->emplace_back((*keys)[k].column, run_start);
   }

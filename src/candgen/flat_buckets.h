@@ -33,6 +33,11 @@
 //
 // A column that contributes no keys never probes and never appears in
 // a run, so it never becomes a candidate.
+//
+// Read-only lookups walk the same array: ForEachMate visits a column's
+// bucket-mates on both sides of its own entry in each of its runs. This
+// serves queries over a single per-value table (K-MH's), whose runs are
+// the postings of the sketch values.
 
 #ifndef SANS_CANDGEN_FLAT_BUCKETS_H_
 #define SANS_CANDGEN_FLAT_BUCKETS_H_
@@ -62,6 +67,8 @@ struct BucketRunStats {
   /// Σ len·(len−1)/2 over the table's runs: the bucket-mate pairs the
   /// table contributes, before pairs shared with other tables merge.
   uint64_t pairs = 0;
+  /// Columns in the table's longest run.
+  uint64_t longest = 0;
 };
 
 /// Keep predicate that accepts every colliding pair (count ≥ 1): the
@@ -94,6 +101,13 @@ class FlatBuckets {
   template <typename KeepFn>
   Result<CandidateSet> Count(ThreadPool* pool, const KeepFn& keep) const;
 
+  /// Calls visit(j) for every column j != col in every bucket `col` is
+  /// in: once per shared bucket, so a mate sharing n buckets is visited
+  /// n times. Buckets come in table order, columns ascending within
+  /// one bucket. A column with no keys has no mates.
+  template <typename VisitFn>
+  void ForEachMate(ColumnId col, const VisitFn& visit) const;
+
  private:
   struct Key {
     uint64_t value;
@@ -124,10 +138,20 @@ class FlatBuckets {
   // Column i owns key slots [slot_begin_[i], slot_begin_[i + 1]), one
   // per key. Runs list their columns in ascending order, so the columns
   // j < i sharing slot s's key are cols_ from run_start_[s] up to i's
-  // own entry.
+  // own entry. Bit p of run_begins_ marks an entry that starts a run,
+  // plus one closing mark past the last entry, so a run ends where the
+  // next mark is; only ForEachMate reads it.
+  bool RunBegins(uint32_t p) const {
+    return (run_begins_[p / 64] >> (p % 64)) & 1;
+  }
+  void MarkRunBegin(uint32_t p) {
+    run_begins_[p / 64] |= uint64_t{1} << (p % 64);
+  }
+
   ColumnId num_cols_;
   std::vector<uint32_t> slot_begin_;
   std::vector<ColumnId> cols_;
+  std::vector<uint64_t> run_begins_;
   std::vector<uint32_t> run_start_;
   std::vector<BucketRunStats> run_stats_;
 };
@@ -137,6 +161,7 @@ FlatBuckets::FlatBuckets(ColumnId num_cols, uint32_t num_tables,
                          size_t num_keys_hint, const KeysFn& keys)
     : num_cols_(num_cols), run_stats_(num_tables) {
   cols_.reserve(num_keys_hint);
+  run_begins_.reserve(num_keys_hint / 64 + 1);
   std::vector<std::pair<ColumnId, uint32_t>> slots;
   slots.reserve(num_keys_hint);
   {
@@ -151,6 +176,8 @@ FlatBuckets::FlatBuckets(ColumnId num_cols, uint32_t num_tables,
       AddTable(table, &table_keys, &slots);
     }
   }
+  run_begins_.resize(cols_.size() / 64 + 1, 0);
+  MarkRunBegin(static_cast<uint32_t>(cols_.size()));
   IndexSlots(slots);
 }
 
@@ -177,6 +204,17 @@ Result<CandidateSet> FlatBuckets::Count(ThreadPool* pool,
       }
     }
   });
+}
+
+template <typename VisitFn>
+void FlatBuckets::ForEachMate(ColumnId col, const VisitFn& visit) const {
+  SANS_CHECK_LT(col, num_cols_);
+  for (uint32_t s = slot_begin_[col]; s < slot_begin_[col + 1]; ++s) {
+    uint32_t p = run_start_[s];
+    do {
+      if (cols_[p] != col) visit(cols_[p]);
+    } while (!RunBegins(++p));
+  }
 }
 
 }  // namespace sans

@@ -7,16 +7,11 @@
 namespace sans {
 namespace {
 
-// K-MH's single bucket table: one key per signature value.
-FlatBuckets KMinHashBuckets(const KMinHashSketch& sketch) {
-  return FlatBuckets(sketch.num_cols(), 1, sketch.TotalSignatureSize(),
-                     [&](uint32_t, const auto& add) {
-                       for (ColumnId c = 0; c < sketch.num_cols(); ++c) {
-                         for (uint64_t value : sketch.Signature(c)) {
-                           add(c, value);
-                         }
-                       }
-                     });
+// K-MH's bucket index over a sketch's signatures.
+FlatBuckets SketchBuckets(const KMinHashSketch& sketch) {
+  return KMinHashBuckets(
+      sketch.num_cols(), sketch.TotalSignatureSize(),
+      [&](ColumnId c) { return sketch.Signature(c); });
 }
 
 }  // namespace
@@ -55,7 +50,7 @@ Result<CandidateSet> HashCountKMinHashParallel(const KMinHashSketch& sketch,
                                                uint64_t min_intersection,
                                                ThreadPool* pool) {
   SANS_CHECK_GE(min_intersection, 1u);
-  return KMinHashBuckets(sketch).Count(
+  return SketchBuckets(sketch).Count(
       pool, [&](ColumnId, ColumnId, uint64_t count) {
         return count >= min_intersection;
       });
@@ -67,7 +62,7 @@ Result<CandidateSet> HashCountKMinHashAdaptiveParallel(
   SANS_CHECK_LE(fraction, 1.0);
   // Per-pair threshold (Lemma 1; see header):
   // max(1, floor(fraction * max(|SIG_i|, |SIG_j|))).
-  return KMinHashBuckets(sketch).Count(
+  return SketchBuckets(sketch).Count(
       pool, [&](ColumnId j, ColumnId i, uint64_t count) {
         const size_t larger_sig = std::max(sketch.Signature(i).size(),
                                            sketch.Signature(j).size());

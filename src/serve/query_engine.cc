@@ -42,43 +42,41 @@ Result<std::vector<Neighbor>> QueryEngine::TopK(ColumnId col, int k,
   const auto query_sketch = index_->Sketch(col);
   const int sketch_k = index_->sketch_k();
 
-  // Collect distinct bucket-mates across all l bands.
-  std::vector<ColumnId> candidates;
-  for (int band = 0; band < index_->num_bands(); ++band) {
-    const auto bucket = index_->Bucket(band, col);
-    candidates.insert(candidates.end(), bucket.begin(), bucket.end());
-  }
-  std::sort(candidates.begin(), candidates.end());
-  candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                   candidates.end());
-  std::erase(candidates, col);
-  if (info != nullptr) info->bucket_candidates = candidates.size();
-
-  // When the filter yields fewer candidates than requested, widen to a
-  // linear scan so small datasets and sparse buckets still get k
-  // answers. Empty columns can never be similar to anything; skip them.
-  const bool fallback =
-      candidates.size() < static_cast<size_t>(k) &&
-      static_cast<uint64_t>(candidates.size()) + 1 < index_->num_cols();
-  if (info != nullptr) info->fallback_scan = fallback;
+  // The touched columns: distinct posting mates of `col`.
+  std::vector<ColumnId> touched;
+  index_->ForEachPostingMate(col, [&](ColumnId j) { touched.push_back(j); });
+  std::sort(touched.begin(), touched.end());
+  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+  if (info != nullptr) info->bucket_candidates = touched.size();
 
   BoundedMaxHeap<Neighbor> best(static_cast<size_t>(k));
-  const auto consider = [&](ColumnId other) {
-    if (other == col) return;
-    if (index_->Cardinality(other) == 0) return;
-    const double similarity =
-        EstimateSimilarityUnbiased(query_sketch, index_->Sketch(other),
-                                   sketch_k);
-    if (similarity < min_similarity) return;
+  size_t positive = 0;
+  for (ColumnId other : touched) {
+    const double similarity = EstimateSimilarityUnbiased(
+        query_sketch, index_->Sketch(other), sketch_k);
+    if (similarity > 0.0) ++positive;
+    if (similarity < min_similarity) continue;
     best.Offer(Neighbor{other, similarity});
-  };
+  }
 
-  if (fallback) {
-    for (ColumnId other = 0; other < index_->num_cols(); ++other) {
-      consider(other);
+  // Every untouched column estimates exactly 0. They matter only when
+  // 0 passes the threshold (the same predicate as above, so a NaN
+  // threshold passes everything) and the positives cannot fill k;
+  // then the k lowest untouched ids are all the heap can still take.
+  if (!(0.0 < min_similarity) && positive < static_cast<size_t>(k)) {
+    if (info != nullptr) info->fallback_scan = true;
+    auto next_touched = touched.begin();
+    int offered = 0;
+    for (ColumnId other = 0; other < index_->num_cols() && offered < k;
+         ++other) {
+      if (next_touched != touched.end() && *next_touched == other) {
+        ++next_touched;
+        continue;
+      }
+      if (other == col || index_->Cardinality(other) == 0) continue;
+      best.Offer(Neighbor{other, 0.0});
+      ++offered;
     }
-  } else {
-    for (ColumnId other : candidates) consider(other);
   }
   // Neighbor's operator< ranks "more similar" as smaller, so the k
   // smallest retained values come out best-first.

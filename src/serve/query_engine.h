@@ -1,17 +1,20 @@
 // Query-time similarity answers over a loaded SimilarityIndex.
 //
-// TopK probes the query column's l band buckets (each bucket-mate is
-// a candidate with the P_{r,l} collision probability of Section 4.1),
-// reranks the deduplicated candidates with the Theorem 2 unbiased
-// estimator over the bottom-k sketches, and keeps the k best through
-// util/bounded_heap. When the buckets yield fewer candidates than
-// requested — sparse buckets, tiny datasets, or k larger than the
-// filter's reach — it falls back to a linear scan of all column
-// sketches so the answer is never artificially short. PairSimilarity
-// is a point estimate over the two sketches. The engine is stateless
-// beyond a shared_ptr to the index, so one engine per request (or one
-// per server) are equally correct, and batch queries fan out over a
-// ThreadPool with deterministic per-query output.
+// TopK walks the query column's sketch-value postings (the paper's
+// K-MH per-value bucketing, Section 3.1, applied at query time): the
+// columns sharing at least one sketch value with the query are the
+// touched columns, and they are the only ones whose Theorem 2 estimate
+// can exceed 0. Each touched column is reranked with the unbiased
+// estimator through util/bounded_heap. When an estimate of 0 passes
+// the threshold and fewer than k touched columns scored above 0, a
+// zero-fill offers the untouched non-empty columns at 0 in ascending
+// id order, stopping after k of them. The heap's (similarity desc,
+// column asc) order merges them with the touched zeros, so every
+// answer is exactly what a scan of all column sketches would return.
+// PairSimilarity is a point estimate over the two sketches. The engine
+// is stateless beyond a shared_ptr to the index, so one engine per
+// request (or one per server) are equally correct, and batch queries
+// fan out over a ThreadPool with deterministic per-query output.
 
 #ifndef SANS_SERVE_QUERY_ENGINE_H_
 #define SANS_SERVE_QUERY_ENGINE_H_
@@ -41,11 +44,13 @@ struct Neighbor {
   }
 };
 
-/// Diagnostics of one TopK evaluation (filter efficacy monitoring).
+/// Diagnostics of one TopK evaluation (work per query).
 struct TopKInfo {
-  /// Distinct candidates the band buckets produced (self excluded).
+  /// Touched columns: the distinct columns sharing a sketch value with
+  /// the query (self excluded), each reranked once.
   size_t bucket_candidates = 0;
-  /// True when the engine widened to a full sketch scan.
+  /// True when the zero-fill ran: an estimate of 0 passed the
+  /// threshold and fewer than k touched columns scored above 0.
   bool fallback_scan = false;
 };
 

@@ -57,7 +57,13 @@ Server::Server(std::shared_ptr<const SimilarityIndex> index,
   bytes_read_ = metrics_.GetCounter("sans_serve_bytes_read_total");
   bytes_written_ = metrics_.GetCounter("sans_serve_bytes_written_total");
   reloads_ = metrics_.GetCounter("sans_serve_index_reloads_total");
+  topk_touched_ = metrics_.GetCounter("sans_serve_topk_touched_columns_total");
+  topk_zero_fills_ = metrics_.GetCounter("sans_serve_topk_zero_fills_total");
   active_connections_ = metrics_.GetGauge("sans_serve_active_connections");
+  index_postings_ = metrics_.GetGauge("sans_serve_index_postings");
+  index_longest_posting_ =
+      metrics_.GetGauge("sans_serve_index_longest_posting");
+  RecordIndexShape(*index_);
 }
 
 Result<std::unique_ptr<Server>> Server::Start(
@@ -205,10 +211,13 @@ std::vector<unsigned char> Server::HandleRequest(
             "], got " + std::to_string(request->k)));
       }
       const QueryEngine engine(Index());
+      TopKInfo info;
       auto neighbors = engine.TopK(request->col,
                                    static_cast<int>(request->k),
-                                   request->min_similarity);
+                                   request->min_similarity, &info);
       if (!neighbors.ok()) return fail(neighbors.status());
+      topk_touched_->Increment(info.bucket_candidates);
+      if (info.fallback_scan) topk_zero_fills_->Increment();
       return EncodeTopKResponse(*neighbors);
     }
     case Opcode::kPairSimilarity: {
@@ -255,10 +264,19 @@ std::shared_ptr<const SimilarityIndex> Server::Index() const {
   return index_;
 }
 
+void Server::RecordIndexShape(const SimilarityIndex& index) {
+  const BucketRunStats& postings = index.posting_stats();
+  index_postings_->Set(static_cast<int64_t>(postings.runs));
+  index_longest_posting_->Set(static_cast<int64_t>(postings.longest));
+}
+
 void Server::Reload(std::shared_ptr<const SimilarityIndex> index) {
   SANS_CHECK(index != nullptr);
   {
+    // Under the lock, so the published shape is the last swapped-in
+    // index's.
     std::lock_guard<std::mutex> lock(index_mu_);
+    RecordIndexShape(*index);
     index_ = std::move(index);
   }
   epoch_.fetch_add(1, std::memory_order_acq_rel);

@@ -11,7 +11,9 @@
 // Observability lives in a server-private MetricsRegistry (private so
 // several servers in one test process report isolated counters):
 // per-request-type counters and latency histograms, bytes in/out,
-// active connections, errors, and index reloads. kStats reports the
+// active connections, errors, index reloads, the TopK work (touched
+// columns and zero-fills, summed over queries) and the loaded index's
+// posting count and longest posting. kStats reports the
 // headline counters over the wire, kMetrics ships the full Prometheus
 // text exposition, and Stop() logs a drain summary. Malformed frames
 // get an error response (when the stream is still framed) or a
@@ -114,6 +116,8 @@ class Server {
       std::span<const unsigned char> payload, RequestType* type);
 
   std::shared_ptr<const SimilarityIndex> Index() const;
+  /// Publishes `index`'s posting shape to the registry.
+  void RecordIndexShape(const SimilarityIndex& index);
 
   ServerConfig config_;
   int listen_fd_ = -1;
@@ -134,7 +138,11 @@ class Server {
   Counter* bytes_read_ = nullptr;
   Counter* bytes_written_ = nullptr;
   Counter* reloads_ = nullptr;
+  Counter* topk_touched_ = nullptr;
+  Counter* topk_zero_fills_ = nullptr;
   Gauge* active_connections_ = nullptr;
+  Gauge* index_postings_ = nullptr;
+  Gauge* index_longest_posting_ = nullptr;
 
   std::unique_ptr<ThreadPool> pool_;
   std::thread accept_thread_;

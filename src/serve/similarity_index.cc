@@ -2,16 +2,17 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <numeric>
 
+#include "candgen/hash_count.h"
 #include "mine/parallel.h"
 #include "sketch/k_min_hash.h"
-#include "sketch/min_hash.h"
-#include "sketch/signature_matrix.h"
 #include "util/checksum_io.h"
 
 namespace sans {
 namespace {
+
+// The band-era format, still loadable (see the header).
+constexpr uint32_t kSimilarityIndexVersionWithBands = 1;
 
 // Hard caps on header-declared dimensions, checked before any
 // dimension-sized allocation so a corrupted header cannot drive an
@@ -21,22 +22,15 @@ constexpr uint32_t kMaxRowsPerBand = 1u << 10;
 constexpr uint32_t kMaxBands = 1u << 16;
 constexpr uint32_t kMaxCols = 1u << 28;
 
-/// Band key of column `c`: the same order-sensitive combination of
-/// the band's r min-hash values MinLshCandidateGenerator buckets on,
-/// so the persisted buckets reproduce the batch miner's candidates.
-uint64_t BandKeyOf(const SignatureMatrix& signatures, int band,
-                   int rows_per_band, ColumnId c) {
-  uint64_t key = Mix64(0xb5ad4eceda1ce2a9ULL + band);
-  for (int i = 0; i < rows_per_band; ++i) {
-    key = CombineHashes(key, signatures.Value(band * rows_per_band + i, c));
+// Reads `size` bytes through the checksum and drops them.
+Status SkipBytes(CrcFile* f, uint64_t size) {
+  std::vector<unsigned char> buffer(std::min<uint64_t>(size, 1 << 16));
+  while (size > 0) {
+    const size_t n = std::min<uint64_t>(size, buffer.size());
+    SANS_RETURN_IF_ERROR(f->Read(buffer.data(), n));
+    size -= n;
   }
-  return key;
-}
-
-/// Empty columns get a per-column key so they never share a bucket —
-/// an empty column has similarity 0 with everything.
-uint64_t EmptyColumnKey(int band, ColumnId c) {
-  return CombineHashes(Mix64(0x9d39247e33776d41ULL + band), Mix64(~uint64_t{c}));
+  return Status::OK();
 }
 
 }  // namespace
@@ -45,37 +39,8 @@ Status SimilarityIndexConfig::Validate() const {
   if (sketch_k <= 0 || static_cast<uint32_t>(sketch_k) > kMaxSketchK) {
     return Status::InvalidArgument("sketch_k out of range");
   }
-  if (rows_per_band <= 0 ||
-      static_cast<uint32_t>(rows_per_band) > kMaxRowsPerBand) {
-    return Status::InvalidArgument("rows_per_band out of range");
-  }
-  if (num_bands <= 0 || static_cast<uint32_t>(num_bands) > kMaxBands) {
-    return Status::InvalidArgument("num_bands out of range");
-  }
   SANS_RETURN_IF_ERROR(execution.Validate());
   return Status::OK();
-}
-
-std::span<const ColumnId> SimilarityIndex::Bucket(int band,
-                                                  ColumnId col) const {
-  SANS_CHECK_GE(band, 0);
-  SANS_CHECK_LT(band, num_bands_);
-  SANS_CHECK_LT(col, num_cols_);
-  const uint64_t* keys =
-      band_keys_.data() + static_cast<size_t>(band) * num_cols_;
-  const ColumnId* begin =
-      buckets_.data() + static_cast<size_t>(band) * num_cols_;
-  const ColumnId* end = begin + num_cols_;
-  // Comparator over column ids via their band key; the band's columns
-  // are sorted by (key, col), so equal keys form one contiguous run.
-  struct ByKey {
-    const uint64_t* keys;
-    bool operator()(ColumnId c, uint64_t key) const { return keys[c] < key; }
-    bool operator()(uint64_t key, ColumnId c) const { return key < keys[c]; }
-  };
-  const auto [lo, hi] =
-      std::equal_range(begin, end, keys[col], ByKey{keys});
-  return {lo, hi};
 }
 
 IndexBuilder::IndexBuilder(const SimilarityIndexConfig& config)
@@ -85,23 +50,13 @@ IndexBuilder::IndexBuilder(const SimilarityIndexConfig& config)
 
 Status IndexBuilder::Build(const RowStreamSource& source,
                            const std::string& out_path) const {
-  // One pool shared by both build passes; a null pool (the default
-  // single-thread config) runs one inline worker, and the output is
-  // bit-identical for any thread count, so the index bytes do not
-  // depend on config_.execution.
+  // A null pool (the default single-thread config) runs one inline
+  // worker, and the output is bit-identical for any thread count, so
+  // the index bytes do not depend on config_.execution.
   const std::unique_ptr<ThreadPool> pool = MaybeCreatePool(config_.execution);
 
-  // Pass 1: r·l min-hash rows for the band keys.
-  MinHashConfig mh;
-  mh.num_hashes = config_.rows_per_band * config_.num_bands;
-  mh.family = config_.family;
-  mh.seed = config_.seed;
-  SANS_ASSIGN_OR_RETURN(
-      SignatureMatrix signatures,
-      ComputeMinHashParallel(source, mh, config_.execution, pool.get()));
-
-  // Pass 2: bottom-k sketches for reranking. Decorrelated seed: the
-  // sketch must not reuse the hash function of any band row.
+  // The sketch seed is a mix of config_.seed, the same one v1 builds
+  // used, so a v2 index of a table answers exactly as its v1 index did.
   KMinHashConfig kmh;
   kmh.k = config_.sketch_k;
   kmh.family = config_.family;
@@ -123,39 +78,10 @@ Status IndexBuilder::Build(const RowStreamSource& source,
   SANS_RETURN_IF_ERROR(f.WriteScalar(kSimilarityIndexMagic));
   SANS_RETURN_IF_ERROR(f.WriteScalar(kSimilarityIndexVersion));
   SANS_RETURN_IF_ERROR(f.WriteScalar(static_cast<uint32_t>(config_.sketch_k)));
-  SANS_RETURN_IF_ERROR(
-      f.WriteScalar(static_cast<uint32_t>(config_.rows_per_band)));
-  SANS_RETURN_IF_ERROR(f.WriteScalar(static_cast<uint32_t>(config_.num_bands)));
   SANS_RETURN_IF_ERROR(f.WriteScalar(m));
   SANS_RETURN_IF_ERROR(f.WriteScalar(source.num_rows()));
   SANS_RETURN_IF_ERROR(f.WriteScalar(static_cast<uint32_t>(config_.family)));
   SANS_RETURN_IF_ERROR(f.WriteScalar(config_.seed));
-
-  // Band keys, band-major.
-  std::vector<uint64_t> keys(m);
-  std::vector<ColumnId> order(m);
-  std::vector<std::vector<uint64_t>> all_keys(config_.num_bands);
-  for (int band = 0; band < config_.num_bands; ++band) {
-    for (ColumnId c = 0; c < m; ++c) {
-      keys[c] = signatures.ColumnEmpty(c)
-                    ? EmptyColumnKey(band, c)
-                    : BandKeyOf(signatures, band, config_.rows_per_band, c);
-    }
-    SANS_RETURN_IF_ERROR(f.Write(keys.data(), keys.size() * sizeof(uint64_t)));
-    all_keys[band] = keys;
-  }
-
-  // Buckets: per band, columns sorted by (key, col).
-  for (int band = 0; band < config_.num_bands; ++band) {
-    const std::vector<uint64_t>& band_keys = all_keys[band];
-    std::iota(order.begin(), order.end(), 0);
-    std::sort(order.begin(), order.end(), [&](ColumnId a, ColumnId b) {
-      if (band_keys[a] != band_keys[b]) return band_keys[a] < band_keys[b];
-      return a < b;
-    });
-    SANS_RETURN_IF_ERROR(
-        f.Write(order.data(), order.size() * sizeof(ColumnId)));
-  }
 
   // Sketches.
   for (ColumnId c = 0; c < m; ++c) {
@@ -192,9 +118,11 @@ Result<SimilarityIndex> SimilarityIndex::Load(const std::string& path) {
     return Status::Corruption("bad magic: not a similarity index file");
   }
   SANS_RETURN_IF_ERROR(f.ReadScalar(&version));
-  if (version != kSimilarityIndexVersion) {
+  if (version != kSimilarityIndexVersion &&
+      version != kSimilarityIndexVersionWithBands) {
     return Status::Corruption("unsupported similarity index version");
   }
+  const bool with_bands = version == kSimilarityIndexVersionWithBands;
 
   SimilarityIndex index;
   uint32_t sketch_k = 0;
@@ -202,38 +130,37 @@ Result<SimilarityIndex> SimilarityIndex::Load(const std::string& path) {
   uint32_t num_bands = 0;
   uint32_t family = 0;
   SANS_RETURN_IF_ERROR(f.ReadScalar(&sketch_k));
-  SANS_RETURN_IF_ERROR(f.ReadScalar(&rows_per_band));
-  SANS_RETURN_IF_ERROR(f.ReadScalar(&num_bands));
+  if (with_bands) {
+    SANS_RETURN_IF_ERROR(f.ReadScalar(&rows_per_band));
+    SANS_RETURN_IF_ERROR(f.ReadScalar(&num_bands));
+    if (rows_per_band == 0 || rows_per_band > kMaxRowsPerBand ||
+        num_bands == 0 || num_bands > kMaxBands) {
+      return Status::Corruption("similarity index header out of range");
+    }
+  }
   SANS_RETURN_IF_ERROR(f.ReadScalar(&index.num_cols_));
   SANS_RETURN_IF_ERROR(f.ReadScalar(&index.num_rows_));
   SANS_RETURN_IF_ERROR(f.ReadScalar(&family));
   SANS_RETURN_IF_ERROR(f.ReadScalar(&index.seed_));
-  if (sketch_k == 0 || sketch_k > kMaxSketchK || rows_per_band == 0 ||
-      rows_per_band > kMaxRowsPerBand || num_bands == 0 ||
-      num_bands > kMaxBands || index.num_cols_ > kMaxCols ||
+  if (sketch_k == 0 || sketch_k > kMaxSketchK || index.num_cols_ > kMaxCols ||
       family > static_cast<uint32_t>(HashFamily::kTabulation)) {
     return Status::Corruption("similarity index header out of range");
   }
   index.sketch_k_ = static_cast<int>(sketch_k);
-  index.rows_per_band_ = static_cast<int>(rows_per_band);
-  index.num_bands_ = static_cast<int>(num_bands);
   index.family_ = static_cast<HashFamily>(family);
 
   const uint64_t m = index.num_cols_;
-  const uint64_t cells = static_cast<uint64_t>(num_bands) * m;
+  // v1's band keys (u64) and bucket arrays (u32), one per band and
+  // column.
+  const uint64_t band_bytes = uint64_t{num_bands} * m * 12;
   // Minimum bytes the header implies; a header inflated by corruption
   // fails here instead of allocating.
-  const uint64_t min_bytes = 40 + cells * 12 + m * 12 + 4;
+  const uint64_t header_bytes = with_bands ? 40 : 32;
+  const uint64_t min_bytes = header_bytes + band_bytes + m * 12 + 4;
   if (static_cast<uint64_t>(file_size) < min_bytes) {
     return Status::Corruption("similarity index truncated");
   }
-
-  index.band_keys_.resize(cells);
-  SANS_RETURN_IF_ERROR(
-      f.Read(index.band_keys_.data(), cells * sizeof(uint64_t)));
-  index.buckets_.resize(cells);
-  SANS_RETURN_IF_ERROR(
-      f.Read(index.buckets_.data(), cells * sizeof(ColumnId)));
+  SANS_RETURN_IF_ERROR(SkipBytes(&f, band_bytes));
 
   index.sketch_offsets_.reserve(m + 1);
   index.sketch_offsets_.push_back(0);
@@ -266,28 +193,9 @@ Result<SimilarityIndex> SimilarityIndex::Load(const std::string& path) {
   }
   SANS_RETURN_IF_ERROR(f.VerifyTrailer("similarity index"));
 
-  // Structural validation of the bucket arrays: each band must be a
-  // permutation of the columns sorted by (band key, column id).
-  std::vector<bool> seen(m);
-  for (uint32_t band = 0; band < num_bands; ++band) {
-    const uint64_t* keys = index.band_keys_.data() + uint64_t{band} * m;
-    const ColumnId* cols = index.buckets_.data() + uint64_t{band} * m;
-    std::fill(seen.begin(), seen.end(), false);
-    for (uint64_t i = 0; i < m; ++i) {
-      if (cols[i] >= m || seen[cols[i]]) {
-        return Status::Corruption("bucket array is not a permutation");
-      }
-      seen[cols[i]] = true;
-      if (i > 0) {
-        const bool ordered =
-            keys[cols[i - 1]] < keys[cols[i]] ||
-            (keys[cols[i - 1]] == keys[cols[i]] && cols[i - 1] < cols[i]);
-        if (!ordered) {
-          return Status::Corruption("bucket array not sorted by band key");
-        }
-      }
-    }
-  }
+  index.postings_.emplace(KMinHashBuckets(
+      index.num_cols_, index.sketch_values_.size(),
+      [&index](ColumnId c) { return index.Sketch(c); }));
   return index;
 }
 

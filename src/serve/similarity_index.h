@@ -1,38 +1,47 @@
 // Immutable on-disk similarity index — the artifact the serving path
 // (sans index / sans serve) is built on. One build pass over the
-// table persists, per column, a bottom-k sketch (Section 3.2, for
-// query-time reranking with the unbiased estimator) plus precomputed
-// Min-LSH band buckets (Section 4.1: l bands of r min-hash rows; two
-// columns sharing a band key are candidate neighbors with probability
-// P_{r,l}(s) = 1-(1-s^r)^l). Queries never touch the original table.
+// table persists, per column, a bottom-k sketch (Section 3.2) and the
+// exact column cardinality. Queries never touch the original table.
 //
-// File format v1 (little-endian, util/endian.h conventions, masked
+// At Load the index also builds, in memory, the value postings of the
+// sketches: K-MH's single per-value bucket table (Section 3.1) on the
+// flat-bucket engine, whose runs list the columns carrying each sketch
+// value. The Theorem 2 estimate of two columns is 0 unless their
+// sketches share a value, so a column's posting mates are the only
+// columns that can rank above 0 against it. The postings are not
+// persisted: on disk they would add 12 B per distinct value plus 4 B
+// per sketch value, while rebuilding them is one radix sort.
+//
+// File format v2 (little-endian, util/endian.h conventions, masked
 // CRC32C trailer over all preceding bytes as in table_file v2):
 //
-//   [magic u32 "SIDX"][version u32]
-//   [sketch_k u32][rows_per_band u32][num_bands u32]
-//   [num_cols u32][num_rows u32][family u32][seed u64]
-//   band keys:  num_bands × num_cols u64, band-major
-//   buckets:    per band, num_cols u32 column ids sorted by
-//               (band key, column id) — columns of one bucket are a
-//               contiguous run
+//   [magic u32 "SIDX"][version u32 = 2]
+//   [sketch_k u32][num_cols u32][num_rows u32][family u32][seed u64]
 //   sketches:   per column, [cardinality u64][size u32][size × u64]
 //   [masked CRC32C u32]
 //
+// Version 1 files also carry [rows_per_band u32][num_bands u32] after
+// sketch_k and, before the sketches, num_bands × num_cols u64 Min-LSH
+// band keys plus num_bands × num_cols u32 bucket arrays. They still
+// load: the band fields are range-checked and the band arrays are read
+// through the checksum and dropped.
+//
 // The loaded index is read-only and position-independent: sketch
-// lookup is O(1) via an in-memory offset table, bucket lookup is a
-// binary search over one band's sorted column array. A server can
-// therefore share one index across request threads with no locking
-// and reload by swapping a shared_ptr.
+// lookup is O(1) via an in-memory offset table, and a column's posting
+// mates are a walk over its runs. A server can therefore share one
+// index across request threads with no locking and reload by swapping
+// a shared_ptr.
 
 #ifndef SANS_SERVE_SIMILARITY_INDEX_H_
 #define SANS_SERVE_SIMILARITY_INDEX_H_
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "candgen/flat_buckets.h"
 #include "matrix/row_stream.h"
 #include "util/hashing.h"
 #include "util/status.h"
@@ -41,24 +50,22 @@
 namespace sans {
 
 inline constexpr uint32_t kSimilarityIndexMagic = 0x58444953u;  // "SIDX"
-inline constexpr uint32_t kSimilarityIndexVersion = 1;
+inline constexpr uint32_t kSimilarityIndexVersion = 2;
 
-/// Parameters of an index build. The band filter targets an effective
-/// similarity threshold of roughly (1/l)^(1/r) (paper Section 4.1);
-/// the defaults center it near 0.55.
+/// Parameters of an index build.
 struct SimilarityIndexConfig {
   /// Bottom-k sketch size per column (reranking accuracy; exact for
   /// column pairs whose union has at most k rows).
   int sketch_k = 128;
-  /// r: min-hash rows concatenated into one band key.
+  /// Inert since .sidx v2; kept only while perfbench/runner.cc assigns it.
   int rows_per_band = 5;
-  /// l: number of bands.
+  /// Inert since .sidx v2; kept only while perfbench/runner.cc assigns it.
   int num_bands = 20;
-  /// Row-hash family for both the band signatures and the sketches.
+  /// Row-hash family of the sketches.
   HashFamily family = HashFamily::kSplitMix64;
   uint64_t seed = 0;
-  /// Build-time parallelism. num_threads <= 1 runs both build passes
-  /// inline on one thread; more threads fan them out on the block
+  /// Build-time parallelism. num_threads <= 1 runs the build pass
+  /// inline on one thread; more threads fan it out on the block
   /// pipeline (bit-identical output for any thread count).
   ExecutionConfig execution;
 
@@ -68,16 +75,16 @@ struct SimilarityIndexConfig {
 /// Read-only similarity index loaded from disk.
 class SimilarityIndex {
  public:
-  /// Loads and validates an index file. Any truncation, bit-rot, or
-  /// structural inconsistency is rejected as kCorruption — never a
-  /// crash — so a serving process can safely point at untrusted paths.
+  /// Loads and validates an index file (v2, or v1 with its bands
+  /// dropped) and builds the sketches' value postings. Any truncation,
+  /// bit-rot, or structural inconsistency is rejected as kCorruption —
+  /// never a crash — so a serving process can safely point at
+  /// untrusted paths.
   static Result<SimilarityIndex> Load(const std::string& path);
 
   ColumnId num_cols() const { return num_cols_; }
   RowId num_rows() const { return num_rows_; }
   int sketch_k() const { return sketch_k_; }
-  int rows_per_band() const { return rows_per_band_; }
-  int num_bands() const { return num_bands_; }
   HashFamily family() const { return family_; }
   uint64_t seed() const { return seed_; }
 
@@ -90,38 +97,39 @@ class SimilarityIndex {
   /// Exact |C_col| recorded at build time. O(1).
   uint64_t Cardinality(ColumnId col) const { return cardinalities_[col]; }
 
-  /// The band key of `col` in `band`. O(1).
-  uint64_t BandKey(int band, ColumnId col) const {
-    return band_keys_[static_cast<size_t>(band) * num_cols_ + col];
+  /// Calls visit(j) for every column j != col that shares a sketch
+  /// value with `col`, once per shared value. An empty column has no
+  /// mates.
+  template <typename VisitFn>
+  void ForEachPostingMate(ColumnId col, const VisitFn& visit) const {
+    postings_->ForEachMate(col, visit);
   }
 
-  /// All columns sharing `col`'s bucket in `band` (including `col`
-  /// itself). O(log m) binary search over the band's sorted columns.
-  std::span<const ColumnId> Bucket(int band, ColumnId col) const;
+  /// Shape of the postings: `runs` distinct sketch values, the longest
+  /// posting's column count in `longest`.
+  const BucketRunStats& posting_stats() const {
+    return postings_->run_stats().front();
+  }
 
  private:
   SimilarityIndex() = default;
 
   int sketch_k_ = 0;
-  int rows_per_band_ = 0;
-  int num_bands_ = 0;
   ColumnId num_cols_ = 0;
   RowId num_rows_ = 0;
   HashFamily family_ = HashFamily::kSplitMix64;
   uint64_t seed_ = 0;
-  std::vector<uint64_t> band_keys_;      // num_bands × num_cols, band-major
-  std::vector<ColumnId> buckets_;        // num_bands × num_cols, band-major
   std::vector<uint64_t> sketch_values_;  // concatenated signatures
   std::vector<uint64_t> sketch_offsets_; // num_cols + 1
   std::vector<uint64_t> cardinalities_;  // num_cols
+  // Built last in Load, from the sketches above.
+  std::optional<FlatBuckets> postings_;
 };
 
-/// Builds an index file from a table. Two passes over the source (one
-/// for the r·l min-hash band signatures, one for the bottom-k
-/// sketches), each fanned out on the block pipeline when
-/// config.execution asks for threads; the build is offline and the
-/// output immutable, so a rebuilt index goes live via Server::Reload,
-/// not in place.
+/// Builds an index file from a table: one bottom-k pass over the
+/// source, fanned out on the block pipeline when config.execution asks
+/// for threads. The build is offline and the output immutable, so a
+/// rebuilt index goes live via Server::Reload, not in place.
 class IndexBuilder {
  public:
   explicit IndexBuilder(const SimilarityIndexConfig& config);

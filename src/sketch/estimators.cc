@@ -29,21 +29,29 @@ uint64_t SignatureIntersectionSize(std::span<const uint64_t> sig_a,
 double EstimateSimilarityUnbiased(std::span<const uint64_t> sig_a,
                                   std::span<const uint64_t> sig_b, int k) {
   SANS_CHECK_GT(k, 0);
-  const std::vector<uint64_t> sig_union = MergeSignatures(sig_a, sig_b, k);
-  if (sig_union.empty()) return 0.0;
-  // Count members of SIG_{i∪j} present in both signatures. All three
-  // lists are sorted; a triple scan over the union suffices.
+  // One merge pass over the two sorted signatures walks SIG_{i∪j} (the
+  // first k distinct union values) without materializing it; a value
+  // taken from both sides is a member present in both. The step is
+  // branch-free, as the comparisons are unpredictable.
+  const uint64_t limit = static_cast<uint64_t>(k);
+  uint64_t union_size = 0;
   uint64_t in_both = 0;
   size_t i = 0;
   size_t j = 0;
-  for (uint64_t v : sig_union) {
-    while (i < sig_a.size() && sig_a[i] < v) ++i;
-    while (j < sig_b.size() && sig_b[j] < v) ++j;
-    const bool in_a = i < sig_a.size() && sig_a[i] == v;
-    const bool in_b = j < sig_b.size() && sig_b[j] == v;
-    if (in_a && in_b) ++in_both;
+  while (union_size < limit && i < sig_a.size() && j < sig_b.size()) {
+    const uint64_t a = sig_a[i];
+    const uint64_t b = sig_b[j];
+    i += a <= b;
+    j += b <= a;
+    in_both += a == b;
+    ++union_size;
   }
-  return static_cast<double>(in_both) / sig_union.size();
+  // Once one side is exhausted, the rest of the union comes from the
+  // other side alone.
+  union_size = std::min<uint64_t>(
+      limit, union_size + (sig_a.size() - i) + (sig_b.size() - j));
+  if (union_size == 0) return 0.0;
+  return static_cast<double>(in_both) / static_cast<double>(union_size);
 }
 
 double EstimateSimilarityBiased(uint64_t signature_intersection,

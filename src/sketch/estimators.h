@@ -23,9 +23,10 @@ namespace sans {
 uint64_t SignatureIntersectionSize(std::span<const uint64_t> sig_a,
                                    std::span<const uint64_t> sig_b);
 
-/// Theorem 2 unbiased estimator: merge to SIG_{i∪j} (k smallest of the
+/// Theorem 2 unbiased estimator: over SIG_{i∪j} (k smallest of the
 /// union), count members present in both SIG_i and SIG_j, divide by
-/// |SIG_{i∪j}|. Returns 0 for two empty signatures.
+/// |SIG_{i∪j}|. Returns 0 for two empty signatures, and 0 whenever the
+/// signatures share no value. One allocation-free O(k) merge pass.
 double EstimateSimilarityUnbiased(std::span<const uint64_t> sig_a,
                                   std::span<const uint64_t> sig_b, int k);
 

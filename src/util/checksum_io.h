@@ -34,7 +34,10 @@ struct CrcFile {
   std::FILE* f = nullptr;
   uint32_t crc = 0;
 
+  // An empty array may have a null data(), which fwrite/fread must not
+  // receive, so zero sizes return early.
   Status Write(const void* data, size_t size) {
+    if (size == 0) return Status::OK();
     if (std::fwrite(data, 1, size, f) != size) {
       return Status::IOError("short write");
     }
@@ -43,6 +46,7 @@ struct CrcFile {
   }
 
   Status Read(void* data, size_t size) {
+    if (size == 0) return Status::OK();
     if (std::fread(data, 1, size, f) != size) {
       return Status::Corruption("short read");
     }

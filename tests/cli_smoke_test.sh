@@ -102,8 +102,8 @@ grep -v '^#' mine_ckpt3.out > ckpt_pairs3.txt
 diff ckpt_pairs1.txt ckpt_pairs3.txt
 
 echo "== index / serve / query round trip =="
-"$SANS_BIN" index --in corpus.sans --out corpus.sidx --k 256 --r 4 \
-    --l 16 --seed 9 | tee index.out
+"$SANS_BIN" index --in corpus.sans --out corpus.sidx --k 256 --seed 9 \
+    | tee index.out
 grep -q 'wrote corpus.sidx' index.out
 test -s corpus.sidx
 

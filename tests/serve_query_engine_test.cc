@@ -4,15 +4,17 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cmath>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <vector>
 
 #include "data/synthetic_generator.h"
-#include "lsh/filter_functions.h"
 #include "matrix/row_stream.h"
-#include "mine/brute_force.h"
 #include "serve/similarity_index.h"
+#include "sketch/estimators.h"
+#include "util/random.h"
 #include "util/thread_pool.h"
 
 namespace sans {
@@ -65,8 +67,6 @@ BinaryMatrix PlantedMatrix(uint64_t seed) {
 SimilarityIndexConfig EngineConfig() {
   SimilarityIndexConfig config;
   config.sketch_k = 128;
-  config.rows_per_band = 4;
-  config.num_bands = 16;
   config.seed = 5;
   return config;
 }
@@ -103,48 +103,88 @@ TEST_F(QueryEngineTest, TopKIsSortedAndRespectsKAndThreshold) {
   }
 }
 
-TEST_F(QueryEngineTest, RecallMatchesBandCollisionPrediction) {
-  // Acceptance criterion: querying every left column of a true similar
-  // pair recovers the right column at a rate no worse than the
-  // P_{r,l}(s) prediction at the pairs' minimum similarity (the
-  // fallback scan is disabled by querying with small k over a dataset
-  // with enough bucket traffic; any fallback only raises recall).
-  const BinaryMatrix matrix = PlantedMatrix(47);
-  const SimilarityIndexConfig config = EngineConfig();
-  const QueryEngine engine(BuildIndex(matrix, config));
+/// The answer of a scan over every column sketch: each non-empty
+/// column other than `col` whose estimate passes `min_similarity`,
+/// best first, cut at k.
+std::vector<Neighbor> FullScanTopK(const SimilarityIndex& index, ColumnId col,
+                                   int k, double min_similarity) {
+  std::vector<Neighbor> all;
+  for (ColumnId other = 0; other < index.num_cols(); ++other) {
+    if (other == col || index.Cardinality(other) == 0) continue;
+    const double similarity = EstimateSimilarityUnbiased(
+        index.Sketch(col), index.Sketch(other), index.sketch_k());
+    if (similarity < min_similarity) continue;
+    all.push_back(Neighbor{other, similarity});
+  }
+  std::sort(all.begin(), all.end());
+  if (all.size() > static_cast<size_t>(k)) all.resize(k);
+  return all;
+}
 
-  auto truth = BruteForceSimilarPairs(matrix, 0.55);
-  ASSERT_TRUE(truth.ok());
-  ASSERT_GE(truth->size(), 4u);
-
-  double min_similarity = 1.0;
-  int recovered = 0;
-  for (const SimilarPair& pair : *truth) {
-    min_similarity = std::min(min_similarity, pair.similarity);
-    auto neighbors = engine.TopK(pair.pair.first, 5);
-    ASSERT_TRUE(neighbors.ok());
-    for (const Neighbor& n : *neighbors) {
-      if (n.col == pair.pair.second) {
-        ++recovered;
-        break;
-      }
+/// 300 rows × 60 columns of varied density, with empty columns 5 and
+/// 33 and duplicates of column 3 at 20 and 41.
+BinaryMatrix MixedMatrix() {
+  Xoshiro256 rng(91);
+  std::vector<std::vector<ColumnId>> rows(300);
+  for (RowId r = 0; r < 300; ++r) {
+    for (ColumnId c = 0; c < 60; ++c) {
+      if (c == 5 || c == 33 || c == 20 || c == 41) continue;
+      const uint64_t per_mille = 20 + 7 * c;
+      if (rng.NextU64() % 1000 < per_mille) rows[r].push_back(c);
+    }
+    const bool has3 =
+        std::find(rows[r].begin(), rows[r].end(), ColumnId{3}) != rows[r].end();
+    if (has3) {
+      rows[r].push_back(20);
+      rows[r].push_back(41);
+      std::sort(rows[r].begin(), rows[r].end());
     }
   }
-  const double recall =
-      static_cast<double>(recovered) / static_cast<double>(truth->size());
-  const double predicted = BandCollisionProbability(
-      min_similarity, config.rows_per_band, config.num_bands);
-  // The prediction is a lower bound per pair at its own (higher)
-  // similarity; allow a small slack for sketch-estimator noise at the
-  // rerank stage.
-  EXPECT_GE(recall, predicted - 0.05)
-      << "recall " << recall << " vs predicted " << predicted << " at s="
-      << min_similarity;
+  auto built = BinaryMatrix::FromRows(300, 60, rows);
+  EXPECT_TRUE(built.ok());
+  return std::move(*built);
+}
+
+TEST_F(QueryEngineTest, TopKEqualsFullScan) {
+  const BinaryMatrix matrix = MixedMatrix();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // A small sketch_k leaves touched columns whose estimate is 0 (their
+  // shared value falls outside the union's k smallest); a large one
+  // leaves few zeros among the touched.
+  for (const int sketch_k : {8, 128}) {
+    SimilarityIndexConfig config = EngineConfig();
+    config.sketch_k = sketch_k;
+    const QueryEngine engine(BuildIndex(matrix, config));
+    const SimilarityIndex& index = engine.index();
+    const int num_cols = static_cast<int>(index.num_cols());
+    size_t touched_zeros = 0;
+    for (ColumnId col = 0; col < index.num_cols(); ++col) {
+      index.ForEachPostingMate(col, [&](ColumnId j) {
+        if (EstimateSimilarityUnbiased(index.Sketch(col), index.Sketch(j),
+                                       sketch_k) == 0.0) {
+          ++touched_zeros;
+        }
+      });
+      for (const int k : {1, 8, 50, num_cols}) {
+        for (const double min_similarity : {nan, -1.0, 0.0, 0.05, 0.5}) {
+          TopKInfo info;
+          auto answer = engine.TopK(col, k, min_similarity, &info);
+          ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+          EXPECT_EQ(*answer, FullScanTopK(index, col, k, min_similarity))
+              << "sketch_k " << sketch_k << " col " << col << " k " << k
+              << " min_similarity " << min_similarity;
+        }
+      }
+    }
+    if (sketch_k == 8) {
+      EXPECT_GT(touched_zeros, 0u);
+    }
+  }
 }
 
 TEST_F(QueryEngineTest, FallbackScanFillsSmallDatasets) {
-  // 6 columns, k=5: buckets cannot supply 5 candidates, so the engine
-  // must widen to a scan and return every non-empty other column.
+  // 6 columns, k=5: the postings cannot supply 5 candidates, so the
+  // engine must fill with zeros and return every non-empty other column.
   std::vector<std::vector<ColumnId>> rows(40);
   for (RowId r = 0; r < 40; ++r) {
     for (ColumnId c = 0; c < 6; ++c) {
@@ -159,8 +199,18 @@ TEST_F(QueryEngineTest, FallbackScanFillsSmallDatasets) {
   TopKInfo info;
   auto neighbors = engine.TopK(0, 5, 0.0, &info);
   ASSERT_TRUE(neighbors.ok());
+  // Column 4 is column 0's only touched column (they are identical;
+  // the rest are disjoint from it), so the zero-fill supplies the
+  // other four in id order.
+  EXPECT_EQ(info.bucket_candidates, 1u);
   EXPECT_TRUE(info.fallback_scan);
-  EXPECT_EQ(neighbors->size(), 5u);
+  EXPECT_EQ(*neighbors, (std::vector<Neighbor>{
+                            {4, 1.0}, {1, 0.0}, {2, 0.0}, {3, 0.0}, {5, 0.0}}));
+  // A positive threshold has nothing to fill with.
+  auto positive = engine.TopK(0, 5, 0.5, &info);
+  ASSERT_TRUE(positive.ok());
+  EXPECT_FALSE(info.fallback_scan);
+  EXPECT_EQ(*positive, (std::vector<Neighbor>{{4, 1.0}}));
 }
 
 TEST_F(QueryEngineTest, ExactWhenSketchCoversUnion) {

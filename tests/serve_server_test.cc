@@ -47,8 +47,6 @@ class ServerTest : public ::testing::Test {
 
     SimilarityIndexConfig config;
     config.sketch_k = 64;
-    config.rows_per_band = 4;
-    config.num_bands = 10;
     config.seed = 3;
     const std::string path = Path(name);
     const Status built = IndexBuilder(config).Build(
@@ -371,6 +369,35 @@ TEST_F(ServerTest, MetricsExpositionOverTheWire) {
   // Transport and connection gauges.
   EXPECT_NE(text->find("sans_serve_bytes_read_total"), std::string::npos);
   EXPECT_NE(text->find("sans_serve_active_connections 1"),
+            std::string::npos);
+
+  // The TopK's work and the index's posting shape, as the engine over
+  // an identical index reports them.
+  const auto index = MakeIndex("same.sidx", 17);
+  TopKInfo info;
+  ASSERT_TRUE(QueryEngine(index).TopK(0, 3, 0.0, &info).ok());
+  ASSERT_GT(info.bucket_candidates, 0u);
+  EXPECT_NE(text->find("sans_serve_topk_touched_columns_total " +
+                       std::to_string(info.bucket_candidates) + "\n"),
+            std::string::npos);
+  EXPECT_NE(text->find("sans_serve_topk_zero_fills_total " +
+                       std::to_string(info.fallback_scan ? 1 : 0) + "\n"),
+            std::string::npos);
+  ASSERT_GT(index->posting_stats().runs, 0u);
+  EXPECT_NE(text->find("sans_serve_index_postings " +
+                       std::to_string(index->posting_stats().runs) + "\n"),
+            std::string::npos);
+  EXPECT_NE(text->find("sans_serve_index_longest_posting " +
+                       std::to_string(index->posting_stats().longest) + "\n"),
+            std::string::npos);
+
+  // A TopK that leaves no positive estimates to fill k counts one
+  // zero-fill.
+  ASSERT_TRUE(client->TopK(0, 80).ok());
+  text = client->Metrics();
+  ASSERT_TRUE(text.ok());
+  EXPECT_NE(text->find("sans_serve_topk_zero_fills_total " +
+                       std::to_string(info.fallback_scan ? 2 : 1) + "\n"),
             std::string::npos);
 }
 

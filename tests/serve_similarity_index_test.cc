@@ -6,11 +6,16 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <vector>
 
 #include "data/synthetic_generator.h"
 #include "matrix/row_stream.h"
+#include "serve/query_engine.h"
+#include "sketch/estimators.h"
+#include "util/crc32c.h"
 #include "util/endian.h"
+#include "util/hashing.h"
 
 namespace sans {
 namespace {
@@ -50,8 +55,6 @@ BinaryMatrix TestMatrix(uint64_t seed = 9) {
 SimilarityIndexConfig SmallConfig() {
   SimilarityIndexConfig config;
   config.sketch_k = 48;
-  config.rows_per_band = 3;
-  config.num_bands = 8;
   config.seed = 21;
   return config;
 }
@@ -67,6 +70,70 @@ void WriteAll(const std::string& path, const std::vector<char>& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
+/// Each posting mate of `col` with the number of times it was visited.
+std::map<ColumnId, uint64_t> MateCounts(const SimilarityIndex& index,
+                                        ColumnId col) {
+  std::map<ColumnId, uint64_t> counts;
+  index.ForEachPostingMate(col, [&](ColumnId j) { ++counts[j]; });
+  return counts;
+}
+
+/// Brute force: every other column with the number of sketch values it
+/// shares with `col`.
+std::map<ColumnId, uint64_t> SharedValueCounts(const SimilarityIndex& index,
+                                               ColumnId col) {
+  std::map<ColumnId, uint64_t> counts;
+  for (ColumnId j = 0; j < index.num_cols(); ++j) {
+    if (j == col) continue;
+    const uint64_t shared =
+        SignatureIntersectionSize(index.Sketch(col), index.Sketch(j));
+    if (shared > 0) counts[j] = shared;
+  }
+  return counts;
+}
+
+/// A hand-written version 1 file holding `index`'s sketches: the
+/// band-era header fields and band arrays (arbitrary contents, as the
+/// loader drops them) with a valid checksum trailer.
+std::vector<char> V1Bytes(const SimilarityIndex& index) {
+  constexpr uint32_t kRowsPerBand = 3;
+  constexpr uint32_t kNumBands = 4;
+  std::vector<char> bytes;
+  const auto put32 = [&bytes](uint32_t v) {
+    unsigned char b[4];
+    EncodeLE32(v, b);
+    bytes.insert(bytes.end(), b, b + 4);
+  };
+  const auto put64 = [&bytes](uint64_t v) {
+    unsigned char b[8];
+    EncodeLE64(v, b);
+    bytes.insert(bytes.end(), b, b + 8);
+  };
+  const ColumnId m = index.num_cols();
+  put32(kSimilarityIndexMagic);
+  put32(1);
+  put32(static_cast<uint32_t>(index.sketch_k()));
+  put32(kRowsPerBand);
+  put32(kNumBands);
+  put32(m);
+  put32(index.num_rows());
+  put32(static_cast<uint32_t>(index.family()));
+  put64(index.seed());
+  for (uint32_t band = 0; band < kNumBands; ++band) {
+    for (ColumnId c = 0; c < m; ++c) put64(Mix64(band * m + c));
+  }
+  for (uint32_t band = 0; band < kNumBands; ++band) {
+    for (ColumnId c = 0; c < m; ++c) put32(c);
+  }
+  for (ColumnId c = 0; c < m; ++c) {
+    put64(index.Cardinality(c));
+    put32(static_cast<uint32_t>(index.Sketch(c).size()));
+    for (uint64_t value : index.Sketch(c)) put64(value);
+  }
+  put32(Crc32cMask(Crc32cExtend(0, bytes.data(), bytes.size())));
+  return bytes;
+}
+
 TEST_F(SimilarityIndexTest, BuildLoadRoundTrip) {
   const BinaryMatrix matrix = TestMatrix();
   const SimilarityIndexConfig config = SmallConfig();
@@ -80,8 +147,6 @@ TEST_F(SimilarityIndexTest, BuildLoadRoundTrip) {
   EXPECT_EQ(index->num_cols(), matrix.num_cols());
   EXPECT_EQ(index->num_rows(), matrix.num_rows());
   EXPECT_EQ(index->sketch_k(), config.sketch_k);
-  EXPECT_EQ(index->rows_per_band(), config.rows_per_band);
-  EXPECT_EQ(index->num_bands(), config.num_bands);
   EXPECT_EQ(index->seed(), config.seed);
 
   for (ColumnId c = 0; c < index->num_cols(); ++c) {
@@ -89,15 +154,6 @@ TEST_F(SimilarityIndexTest, BuildLoadRoundTrip) {
     const auto sketch = index->Sketch(c);
     EXPECT_LE(sketch.size(), static_cast<size_t>(config.sketch_k));
     EXPECT_TRUE(std::is_sorted(sketch.begin(), sketch.end()));
-    for (int band = 0; band < index->num_bands(); ++band) {
-      const auto bucket = index->Bucket(band, c);
-      // Every column is a member of its own bucket, and all bucket
-      // mates share the band key.
-      EXPECT_NE(std::find(bucket.begin(), bucket.end(), c), bucket.end());
-      for (ColumnId mate : bucket) {
-        EXPECT_EQ(index->BandKey(band, mate), index->BandKey(band, c));
-      }
-    }
   }
 }
 
@@ -119,8 +175,9 @@ TEST_F(SimilarityIndexTest, LoadedIndexIsReusable) {
   }
 }
 
-TEST_F(SimilarityIndexTest, EmptyColumnsGetSingletonBuckets) {
-  // Columns 3 and 7 are all-zero; they must not bucket together.
+TEST_F(SimilarityIndexTest, EmptyColumnsHaveNoPostingMates) {
+  // Columns 3 and 7 are all-zero: no sketch values, so no mates, and
+  // no other column counts them as a mate.
   std::vector<std::vector<ColumnId>> rows(20);
   for (RowId r = 0; r < 20; ++r) {
     for (ColumnId c = 0; c < 10; ++c) {
@@ -139,36 +196,102 @@ TEST_F(SimilarityIndexTest, EmptyColumnsGetSingletonBuckets) {
   ASSERT_TRUE(index.ok()) << index.status().ToString();
   EXPECT_EQ(index->Cardinality(3), 0u);
   EXPECT_EQ(index->Sketch(3).size(), 0u);
-  for (int band = 0; band < index->num_bands(); ++band) {
-    EXPECT_EQ(index->Bucket(band, 3).size(), 1u);
-    EXPECT_EQ(index->Bucket(band, 7).size(), 1u);
+  EXPECT_TRUE(MateCounts(*index, 3).empty());
+  EXPECT_TRUE(MateCounts(*index, 7).empty());
+  for (ColumnId c = 0; c < index->num_cols(); ++c) {
+    const auto mates = MateCounts(*index, c);
+    EXPECT_EQ(mates.count(3), 0u) << "column " << c;
+    EXPECT_EQ(mates.count(7), 0u) << "column " << c;
   }
 }
 
-TEST_F(SimilarityIndexTest, IdenticalColumnsShareEveryBucket) {
+TEST_F(SimilarityIndexTest, PostingMatesShareASketchValue) {
+  // Each column's mates are exactly the columns sharing at least one
+  // of its sketch values, each visited once per shared value — on a
+  // planted table and on one with identical columns (1 and 4), which
+  // share every value.
   std::vector<std::vector<ColumnId>> rows(60);
   for (RowId r = 0; r < 60; ++r) {
     if (r % 5 == 0) rows[r].push_back(0);
-    if (r % 2 == 0) {
-      rows[r].push_back(1);
-      rows[r].push_back(4);
-    }
+    if (r % 2 == 0) rows[r].push_back(1);
+    if (r % 3 == 0) rows[r].push_back(2);
+    if (r % 2 == 0) rows[r].push_back(4);
   }
   auto built = BinaryMatrix::FromRows(60, 6, rows);
   ASSERT_TRUE(built.ok());
-  const BinaryMatrix& matrix = *built;
-  const std::string path = Path("dup.sidx");
-  ASSERT_TRUE(IndexBuilder(SmallConfig())
-                  .Build(InMemorySource(&matrix), path)
-                  .ok());
-  auto index = SimilarityIndex::Load(path);
-  ASSERT_TRUE(index.ok());
-  for (int band = 0; band < index->num_bands(); ++band) {
-    EXPECT_EQ(index->BandKey(band, 1), index->BandKey(band, 4));
-    const auto bucket = index->Bucket(band, 1);
-    EXPECT_NE(std::find(bucket.begin(), bucket.end(), ColumnId{4}),
-              bucket.end());
+  const BinaryMatrix& duplicates = *built;
+  const BinaryMatrix planted = TestMatrix();
+  for (const BinaryMatrix* matrix : {&duplicates, &planted}) {
+    const std::string path = Path("mates.sidx");
+    ASSERT_TRUE(IndexBuilder(SmallConfig())
+                    .Build(InMemorySource(matrix), path)
+                    .ok());
+    auto index = SimilarityIndex::Load(path);
+    ASSERT_TRUE(index.ok()) << index.status().ToString();
+    for (ColumnId c = 0; c < index->num_cols(); ++c) {
+      EXPECT_EQ(MateCounts(*index, c), SharedValueCounts(*index, c))
+          << "column " << c;
+    }
+    if (matrix == &duplicates) {
+      EXPECT_EQ(MateCounts(*index, 1)[4], index->Sketch(1).size());
+    }
+    // A posting per distinct sketch value; the longest holds the most
+    // columns carrying one value.
+    std::map<uint64_t, uint64_t> columns_per_value;
+    uint64_t longest = 0;
+    for (ColumnId c = 0; c < index->num_cols(); ++c) {
+      for (uint64_t value : index->Sketch(c)) {
+        longest = std::max(longest, ++columns_per_value[value]);
+      }
+    }
+    EXPECT_EQ(index->posting_stats().runs, columns_per_value.size());
+    EXPECT_EQ(index->posting_stats().longest, longest);
   }
+}
+
+TEST_F(SimilarityIndexTest, HandWrittenV1FileAnswersLikeV2) {
+  const BinaryMatrix matrix = TestMatrix();
+  const std::string v2_path = Path("v2.sidx");
+  ASSERT_TRUE(IndexBuilder(SmallConfig())
+                  .Build(InMemorySource(&matrix), v2_path)
+                  .ok());
+  auto v2 = SimilarityIndex::Load(v2_path);
+  ASSERT_TRUE(v2.ok()) << v2.status().ToString();
+  const std::string v1_path = Path("v1.sidx");
+  WriteAll(v1_path, V1Bytes(*v2));
+  auto v1 = SimilarityIndex::Load(v1_path);
+  ASSERT_TRUE(v1.ok()) << v1.status().ToString();
+
+  EXPECT_EQ(v1->num_cols(), v2->num_cols());
+  EXPECT_EQ(v1->num_rows(), v2->num_rows());
+  EXPECT_EQ(v1->sketch_k(), v2->sketch_k());
+  EXPECT_EQ(v1->family(), v2->family());
+  EXPECT_EQ(v1->seed(), v2->seed());
+  EXPECT_EQ(v1->posting_stats().runs, v2->posting_stats().runs);
+  const QueryEngine v1_engine(
+      std::make_shared<const SimilarityIndex>(std::move(*v1)));
+  const QueryEngine v2_engine(
+      std::make_shared<const SimilarityIndex>(std::move(*v2)));
+  for (ColumnId c = 0; c < matrix.num_cols(); ++c) {
+    const auto a = v1_engine.index().Sketch(c);
+    const auto b = v2_engine.index().Sketch(c);
+    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()));
+    EXPECT_EQ(v1_engine.index().Cardinality(c),
+              v2_engine.index().Cardinality(c));
+    auto v1_answer = v1_engine.TopK(c, 6);
+    auto v2_answer = v2_engine.TopK(c, 6);
+    ASSERT_TRUE(v1_answer.ok());
+    ASSERT_TRUE(v2_answer.ok());
+    EXPECT_EQ(*v1_answer, *v2_answer) << "column " << c;
+  }
+
+  // The dropped band arrays are still under the checksum.
+  std::vector<char> flipped = ReadAll(v1_path);
+  flipped[48] = static_cast<char>(flipped[48] ^ 0x01);
+  WriteAll(v1_path, flipped);
+  auto corrupted = SimilarityIndex::Load(v1_path);
+  ASSERT_FALSE(corrupted.ok());
+  EXPECT_EQ(corrupted.status().code(), StatusCode::kCorruption);
 }
 
 TEST_F(SimilarityIndexTest, MissingFileIsIOError) {
@@ -193,8 +316,8 @@ TEST_F(SimilarityIndexTest, TruncationAtEveryPrefixRejected) {
                   .ok());
   const std::vector<char> bytes = ReadAll(path);
   ASSERT_GT(bytes.size(), 64u);
-  // Cut at a spread of prefixes across every section: header, band
-  // keys, buckets, sketches, trailer.
+  // Cut at a spread of prefixes across every section: header,
+  // sketches, trailer.
   for (size_t cut = 0; cut + 1 < bytes.size();
        cut += std::max<size_t>(1, bytes.size() / 37)) {
     const std::string truncated = Path("trunc.sidx");
@@ -227,24 +350,34 @@ TEST_F(SimilarityIndexTest, BitFlipsRejectedByChecksum) {
 
 TEST_F(SimilarityIndexTest, InflatedHeaderDimensionsRejectedEarly) {
   // A header claiming 2^28 columns in a 60-byte file must fail the
-  // size precheck instead of attempting a multi-gigabyte allocation.
-  std::vector<char> bytes(60, 0);
-  auto put32 = [&bytes](size_t at, uint32_t v) {
-    EncodeLE32(v, reinterpret_cast<unsigned char*>(bytes.data() + at));
+  // size precheck instead of attempting a multi-gigabyte allocation,
+  // in the current layout and in the band-era v1 layout.
+  auto put32 = [](std::vector<char>* bytes, size_t at, uint32_t v) {
+    EncodeLE32(v, reinterpret_cast<unsigned char*>(bytes->data() + at));
   };
-  put32(0, kSimilarityIndexMagic);
-  put32(4, kSimilarityIndexVersion);
-  put32(8, 64);         // sketch_k
-  put32(12, 4);         // rows_per_band
-  put32(16, 16);        // num_bands
-  put32(20, 1u << 28);  // num_cols: maximal but absurd for the size
-  put32(24, 1000);      // num_rows
-  put32(28, 0);         // family
-  const std::string path = Path("inflated.sidx");
-  WriteAll(path, bytes);
-  auto index = SimilarityIndex::Load(path);
-  ASSERT_FALSE(index.ok());
-  EXPECT_EQ(index.status().code(), StatusCode::kCorruption);
+  std::vector<char> v2(60, 0);
+  put32(&v2, 0, kSimilarityIndexMagic);
+  put32(&v2, 4, kSimilarityIndexVersion);
+  put32(&v2, 8, 64);         // sketch_k
+  put32(&v2, 12, 1u << 28);  // num_cols: maximal but absurd for the size
+  put32(&v2, 16, 1000);      // num_rows
+  put32(&v2, 20, 0);         // family
+  std::vector<char> v1(60, 0);
+  put32(&v1, 0, kSimilarityIndexMagic);
+  put32(&v1, 4, 1);
+  put32(&v1, 8, 64);         // sketch_k
+  put32(&v1, 12, 4);         // rows_per_band
+  put32(&v1, 16, 16);        // num_bands
+  put32(&v1, 20, 1u << 28);  // num_cols
+  put32(&v1, 24, 1000);      // num_rows
+  put32(&v1, 28, 0);         // family
+  for (const std::vector<char>* bytes : {&v2, &v1}) {
+    const std::string path = Path("inflated.sidx");
+    WriteAll(path, *bytes);
+    auto index = SimilarityIndex::Load(path);
+    ASSERT_FALSE(index.ok());
+    EXPECT_EQ(index.status().code(), StatusCode::kCorruption);
+  }
 }
 
 TEST_F(SimilarityIndexTest, ConfigValidateRejectsBadShapes) {
@@ -252,10 +385,7 @@ TEST_F(SimilarityIndexTest, ConfigValidateRejectsBadShapes) {
   config.sketch_k = 0;
   EXPECT_FALSE(config.Validate().ok());
   config = SmallConfig();
-  config.rows_per_band = -1;
-  EXPECT_FALSE(config.Validate().ok());
-  config = SmallConfig();
-  config.num_bands = 0;
+  config.sketch_k = (1 << 24) + 1;
   EXPECT_FALSE(config.Validate().ok());
   EXPECT_TRUE(SmallConfig().Validate().ok());
 }

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "data/synthetic_generator.h"
 #include "matrix/row_stream.h"
+#include "sketch/k_min_hash.h"
+#include "util/random.h"
 
 namespace sans {
 namespace {
@@ -36,6 +41,59 @@ TEST(EstimateSimilarityUnbiasedTest, EmptySignaturesGiveZero) {
   EXPECT_DOUBLE_EQ(EstimateSimilarityUnbiased({}, {}, 5), 0.0);
   const std::vector<uint64_t> a = {1};
   EXPECT_DOUBLE_EQ(EstimateSimilarityUnbiased(a, {}, 5), 0.0);
+}
+
+/// The Theorem 2 estimator spelled out on a materialized SIG_{i∪j}.
+double UnbiasedReference(const std::vector<uint64_t>& a,
+                         const std::vector<uint64_t>& b, int k) {
+  const std::vector<uint64_t> sig_union = MergeSignatures(a, b, k);
+  if (sig_union.empty()) return 0.0;
+  uint64_t in_both = 0;
+  for (uint64_t v : sig_union) {
+    if (std::binary_search(a.begin(), a.end(), v) &&
+        std::binary_search(b.begin(), b.end(), v)) {
+      ++in_both;
+    }
+  }
+  return static_cast<double>(in_both) / sig_union.size();
+}
+
+/// `size` distinct ascending values drawn from [0, universe).
+std::vector<uint64_t> RandomSignature(Xoshiro256* rng, size_t size,
+                                      uint64_t universe) {
+  std::vector<uint64_t> values;
+  while (values.size() < size) {
+    values.push_back(rng->NextU64() % universe);
+    std::sort(values.begin(), values.end());
+    values.erase(std::unique(values.begin(), values.end()), values.end());
+  }
+  return values;
+}
+
+TEST(EstimateSimilarityUnbiasedTest, MatchesMergeSignaturesReference) {
+  Xoshiro256 rng(2024);
+  const std::vector<uint64_t> empty;
+  for (int trial = 0; trial < 3000; ++trial) {
+    const int k = 1 + static_cast<int>(rng.NextU64() % 40);
+    // Sizes on both sides of k, over universes from dense (many shared
+    // values) to sparse (mostly disjoint).
+    const uint64_t universe = 2 * k + rng.NextU64() % (20 * k);
+    const size_t max_size = std::min<uint64_t>(universe, 2 * k + 4);
+    const std::vector<uint64_t> a =
+        RandomSignature(&rng, rng.NextU64() % (max_size + 1), universe);
+    const std::vector<uint64_t> b =
+        RandomSignature(&rng, rng.NextU64() % (max_size + 1), universe);
+    EXPECT_EQ(EstimateSimilarityUnbiased(a, b, k), UnbiasedReference(a, b, k))
+        << "trial " << trial;
+    EXPECT_EQ(EstimateSimilarityUnbiased(a, a, k), UnbiasedReference(a, a, k));
+    EXPECT_EQ(EstimateSimilarityUnbiased(a, empty, k),
+              UnbiasedReference(a, empty, k));
+    // Disjoint: b shifted past a's largest value.
+    std::vector<uint64_t> shifted = b;
+    for (uint64_t& v : shifted) v += universe;
+    EXPECT_EQ(EstimateSimilarityUnbiased(a, shifted, k), 0.0);
+    EXPECT_EQ(UnbiasedReference(a, shifted, k), 0.0);
+  }
 }
 
 TEST(EstimateSimilarityBiasedTest, ZeroCardinalityGivesZero) {

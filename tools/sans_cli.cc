@@ -11,8 +11,8 @@
 //   sketch     persist a bottom-k sketch of a table
 //   pairs      mine similar pairs from a persisted sketch (no table
 //              rescan; estimates only, no exact verification)
-//   index      build a persistent similarity index (sketches + LSH
-//              band buckets) for online serving
+//   index      build a persistent similarity index (bottom-k sketches)
+//              for online serving
 //   serve      answer similarity queries over an index via TCP
 //   query      ask a running server (top-k / pair / stats / reload)
 //
@@ -163,7 +163,7 @@ int Usage() {
       "  clusters  --in FILE [--threshold S] [--min-size N]\n"
       "            [--min-cohesion F]\n"
       "  disjunctions --in FILE [--threshold S] [--k K]\n"
-      "  index     --in FILE --out FILE [--k K] [--r R] [--l L]\n"
+      "  index     --in FILE --out FILE [--k K]\n"
       "            [--seed S] [--threads N] [--block-rows N]\n"
       "  serve     --index FILE [--host H] [--port P (0 = ephemeral)]\n"
       "            [--threads N] [--allow-reload]\n"
@@ -615,9 +615,6 @@ int RunPairsFromSketch(const Args& args) {
 int RunIndex(const Args& args) {
   SimilarityIndexConfig config;
   config.sketch_k = static_cast<int>(args.GetInt("k", config.sketch_k));
-  config.rows_per_band =
-      static_cast<int>(args.GetInt("r", config.rows_per_band));
-  config.num_bands = static_cast<int>(args.GetInt("l", config.num_bands));
   config.seed = static_cast<uint64_t>(args.GetInt("seed", 0));
   auto execution = ParseExecution(args);
   if (!execution.ok()) return Fail(execution.status());
@@ -630,10 +627,8 @@ int RunIndex(const Args& args) {
   if (const Status s = IndexBuilder(config).Build(source, out); !s.ok()) {
     return Fail(s);
   }
-  std::printf("wrote %s: %u columns, %u rows, %d bands x %d rows, "
-              "sketch k=%d\n",
-              out.c_str(), source.num_cols(), source.num_rows(),
-              config.num_bands, config.rows_per_band, config.sketch_k);
+  std::printf("wrote %s: %u columns, %u rows, sketch k=%d\n", out.c_str(),
+              source.num_cols(), source.num_rows(), config.sketch_k);
   return 0;
 }
 
