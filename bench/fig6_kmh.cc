@@ -12,6 +12,7 @@
 #include "eval/sweep.h"
 #include "matrix/row_stream.h"
 #include "mine/kmh_miner.h"
+#include "mine/parallel.h"
 #include "sketch/k_min_hash.h"
 
 int main() {
@@ -47,9 +48,9 @@ int main() {
     sans::KMinHashConfig sketch_config;
     sketch_config.k = k;
     sketch_config.seed = 13;
-    sans::KMinHashGenerator generator(sketch_config);
-    sans::InMemoryRowStream stream(&bench.dataset.matrix);
-    auto sketch = generator.Compute(&stream);
+    auto sketch = sans::ComputeKMinHashParallel(
+        sans::InMemorySource(&bench.dataset.matrix), sketch_config,
+        sans::ExecutionConfig{}, nullptr);
     SANS_CHECK(sketch.ok());
     times.AddRow({
         sans::TablePrinter::Int(k),

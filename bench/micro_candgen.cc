@@ -28,6 +28,7 @@
 #include "data/news_generator.h"
 #include "data/synthetic_generator.h"
 #include "matrix/row_stream.h"
+#include "mine/parallel.h"
 #include "sketch/k_min_hash.h"
 #include "sketch/min_hash.h"
 #include "util/thread_pool.h"
@@ -83,9 +84,8 @@ KMinHashSketch NewsSketch(bool smoke, RowId* num_rows) {
   KMinHashConfig kmh;
   kmh.k = 100;
   kmh.seed = 1;
-  KMinHashGenerator generator(kmh);
-  InMemoryRowStream stream(&dataset->matrix);
-  auto sketch = generator.Compute(&stream);
+  auto sketch = ComputeKMinHashParallel(
+      InMemorySource(&dataset->matrix), kmh, ExecutionConfig{}, nullptr);
   SANS_CHECK(sketch.ok());
   return std::move(sketch).value();
 }

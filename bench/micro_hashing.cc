@@ -6,6 +6,7 @@
 
 #include "data/synthetic_generator.h"
 #include "matrix/row_stream.h"
+#include "mine/parallel.h"
 #include "sketch/k_min_hash.h"
 #include "sketch/min_hash.h"
 #include "util/hashing.h"
@@ -68,10 +69,9 @@ void BM_KMinHashSketch(benchmark::State& state) {
   KMinHashConfig config;
   config.k = k;
   config.seed = 5;
-  KMinHashGenerator generator(config);
   for (auto _ : state) {
-    InMemoryRowStream stream(&BenchMatrix());
-    auto sketch = generator.Compute(&stream);
+    auto sketch = ComputeKMinHashParallel(InMemorySource(&BenchMatrix()),
+                                          config, ExecutionConfig{}, nullptr);
     benchmark::DoNotOptimize(sketch);
   }
   state.SetItemsProcessed(state.iterations() * BenchMatrix().num_ones());

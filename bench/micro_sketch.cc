@@ -25,6 +25,7 @@
 #include "bench_common.h"
 #include "data/synthetic_generator.h"
 #include "matrix/row_stream.h"
+#include "mine/parallel.h"
 #include "sketch/k_min_hash.h"
 #include "sketch/min_hash.h"
 #include "sketch/signature_matrix.h"
@@ -251,9 +252,8 @@ int Main(int argc, char** argv) {
   double kmh_blocked_seconds = 0.0;
   const KMinHashSketch blocked_sketch = TimeBestOf(
       repetitions, &kmh_blocked_seconds, [&] {
-        KMinHashGenerator generator(kmh);
-        InMemoryRowStream stream(&matrix);
-        auto sketch = generator.Compute(&stream);
+        auto sketch = ComputeKMinHashParallel(
+            InMemorySource(&matrix), kmh, ExecutionConfig{}, nullptr);
         SANS_CHECK(sketch.ok());
         return std::move(sketch).value();
       });

@@ -1,16 +1,16 @@
 // Persistence for phase-2 candidate sets and phase-3 verified pairs —
 // the checkpoint artifacts of the fault-tolerant pipeline runner. Both
-// formats carry the v2-style masked CRC32C trailer so a torn or
-// bit-rotted checkpoint is rejected as kCorruption and the stage is
-// recomputed instead of resumed from garbage.
+// are bodies in the checksummed artifact container
+// (util/checksum_io.h), so a torn or bit-rotted checkpoint is rejected
+// as kCorruption and the stage is recomputed instead of resumed from
+// garbage; a count the file is too short to hold fails before any
+// allocation.
 //
-// Formats (little-endian):
-//   candidate file: [magic u32 "CNDS"][version u32][count u64]
+// Bodies (little-endian):
+//   candidate file "CNDS": [count u64]
 //                   per entry: [first u32][second u32][count u64]
-//                   [masked CRC32C u32]
-//   pairs file:     [magic u32 "PRSS"][version u32][count u64]
+//   pairs file "PRSS":     [count u64]
 //                   per entry: [first u32][second u32][similarity f64]
-//                   [masked CRC32C u32]
 //
 // Entries are written in ascending pair order (for candidates) and in
 // the miner's output order (for pairs), so a reloaded artifact is
@@ -24,13 +24,17 @@
 
 #include "candgen/candidate_set.h"
 #include "core/types.h"
+#include "util/checksum_io.h"
 #include "util/status.h"
 
 namespace sans {
 
-inline constexpr uint32_t kCandidateFileMagic = 0x53444e43u;  // "CNDS"
-inline constexpr uint32_t kPairsFileMagic = 0x53535250u;      // "PRSS"
-inline constexpr uint32_t kCandidateIoVersion = 1;
+inline constexpr ArtifactFormat kCandidateFileFormat{
+    0x53444e43u, /*version=*/1, /*min_version=*/1, /*trailer_since=*/1,
+    "candidate file"};
+inline constexpr ArtifactFormat kPairsFileFormat{
+    0x53535250u, /*version=*/1, /*min_version=*/1, /*trailer_since=*/1,
+    "pairs file"};
 
 /// Writes a candidate set (pairs + evidence counts, ascending order).
 Status WriteCandidateSet(const CandidateSet& candidates,

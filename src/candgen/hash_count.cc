@@ -5,17 +5,6 @@
 #include "util/status.h"
 
 namespace sans {
-namespace {
-
-// K-MH's bucket index over a sketch's signatures.
-FlatBuckets SketchBuckets(const KMinHashSketch& sketch) {
-  return KMinHashBuckets(
-      sketch.num_cols(), sketch.TotalSignatureSize(),
-      [&](ColumnId c) { return sketch.Signature(c); });
-}
-
-}  // namespace
-
 FlatBuckets MinHashBuckets(const SignatureMatrix& signatures) {
   const ColumnId m = signatures.num_cols();
   const int k = signatures.num_hashes();
@@ -27,6 +16,18 @@ FlatBuckets MinHashBuckets(const SignatureMatrix& signatures) {
                        for (ColumnId c = 0; c < m; ++c) {
                          // Uniform empty-column rule.
                          if (!signatures.ColumnEmpty(c)) add(c, row[c]);
+                       }
+                     });
+}
+
+FlatBuckets KMinHashBuckets(const KMinHashSketch& sketch) {
+  const ColumnId m = sketch.num_cols();
+  return FlatBuckets(m, 1, sketch.TotalSignatureSize(),
+                     [&](uint32_t, const auto& add) {
+                       for (ColumnId c = 0; c < m; ++c) {
+                         for (uint64_t value : sketch.Signature(c)) {
+                           add(c, value);
+                         }
                        }
                      });
 }
@@ -50,7 +51,7 @@ Result<CandidateSet> HashCountKMinHashParallel(const KMinHashSketch& sketch,
                                                uint64_t min_intersection,
                                                ThreadPool* pool) {
   SANS_CHECK_GE(min_intersection, 1u);
-  return SketchBuckets(sketch).Count(
+  return KMinHashBuckets(sketch).Count(
       pool, [&](ColumnId, ColumnId, uint64_t count) {
         return count >= min_intersection;
       });
@@ -62,7 +63,7 @@ Result<CandidateSet> HashCountKMinHashAdaptiveParallel(
   SANS_CHECK_LE(fraction, 1.0);
   // Per-pair threshold (Lemma 1; see header):
   // max(1, floor(fraction * max(|SIG_i|, |SIG_j|))).
-  return SketchBuckets(sketch).Count(
+  return KMinHashBuckets(sketch).Count(
       pool, [&](ColumnId j, ColumnId i, uint64_t count) {
         const size_t larger_sig = std::max(sketch.Signature(i).size(),
                                            sketch.Signature(j).size());

@@ -75,18 +75,9 @@ Result<CandidateSet> HashCountMinHashParallel(
 FlatBuckets MinHashBuckets(const SignatureMatrix& signatures);
 
 /// The K-Min-Hash bucket index: a single table with one key per
-/// signature value, so each run is the posting of one value. Column c's
-/// signature is `signature(c)`, ascending and distinct; `num_values` is
-/// the total signature size over all columns.
-template <typename SignatureFn>
-FlatBuckets KMinHashBuckets(ColumnId num_cols, size_t num_values,
-                            const SignatureFn& signature) {
-  return FlatBuckets(num_cols, 1, num_values, [&](uint32_t, const auto& add) {
-    for (ColumnId c = 0; c < num_cols; ++c) {
-      for (uint64_t value : signature(c)) add(c, value);
-    }
-  });
-}
+/// signature value, so each run is the posting of one value. An empty
+/// signature contributes no keys.
+FlatBuckets KMinHashBuckets(const KMinHashSketch& sketch);
 
 }  // namespace sans
 

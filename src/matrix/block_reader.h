@@ -131,8 +131,8 @@ Status ForEachRowBlock(const RowStreamSource& source,
 // ForEachRowBlock's inline mode over an already-open stream: scans
 // `stream` from its current position on the calling thread and hands
 // each block to consume(0, block). The RowStream* entry points
-// (MinHashGenerator, KMinHashGenerator, the incremental builder's
-// AddAll, CountCandidatePairs, MaterializeStream) are thin wrappers
+// (MinHashGenerator, the incremental builder's AddAll,
+// CountCandidatePairs, MaterializeStream) are thin wrappers
 // around it. Fails with the stream's error if the scan ends uncleanly.
 //
 // The block loop behind this function and ForEachRowBlock's reader

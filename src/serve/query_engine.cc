@@ -39,8 +39,8 @@ Result<std::vector<Neighbor>> QueryEngine::TopK(ColumnId col, int k,
   }
   if (info != nullptr) *info = TopKInfo{};
 
-  const auto query_sketch = index_->Sketch(col);
-  const int sketch_k = index_->sketch_k();
+  const KMinHashSketch& sketch = index_->sketch();
+  const auto query_sketch = sketch.Signature(col);
 
   // The touched columns: distinct posting mates of `col`.
   std::vector<ColumnId> touched;
@@ -53,7 +53,7 @@ Result<std::vector<Neighbor>> QueryEngine::TopK(ColumnId col, int k,
   size_t positive = 0;
   for (ColumnId other : touched) {
     const double similarity = EstimateSimilarityUnbiased(
-        query_sketch, index_->Sketch(other), sketch_k);
+        query_sketch, sketch.Signature(other), sketch.k());
     if (similarity > 0.0) ++positive;
     if (similarity < min_similarity) continue;
     best.Offer(Neighbor{other, similarity});
@@ -73,7 +73,7 @@ Result<std::vector<Neighbor>> QueryEngine::TopK(ColumnId col, int k,
         ++next_touched;
         continue;
       }
-      if (other == col || index_->Cardinality(other) == 0) continue;
+      if (other == col || sketch.ColumnCardinality(other) == 0) continue;
       best.Offer(Neighbor{other, 0.0});
       ++offered;
     }
@@ -87,8 +87,9 @@ Result<double> QueryEngine::PairSimilarity(ColumnId a, ColumnId b) const {
   SANS_RETURN_IF_ERROR(ValidateColumn(*index_, a, "first"));
   SANS_RETURN_IF_ERROR(ValidateColumn(*index_, b, "second"));
   if (a == b) return 1.0;
-  return EstimateSimilarityUnbiased(index_->Sketch(a), index_->Sketch(b),
-                                    index_->sketch_k());
+  const KMinHashSketch& sketch = index_->sketch();
+  return EstimateSimilarityUnbiased(sketch.Signature(a), sketch.Signature(b),
+                                    sketch.k());
 }
 
 Result<std::vector<std::vector<Neighbor>>> QueryEngine::BatchTopK(

@@ -12,13 +12,12 @@
 // persisted: on disk they would add 12 B per distinct value plus 4 B
 // per sketch value, while rebuilding them is one radix sort.
 //
-// File format v2 (little-endian, util/endian.h conventions, masked
-// CRC32C trailer over all preceding bytes as in table_file v2):
+// File format v2: a body in the checksummed artifact container
+// (util/checksum_io.h), little-endian:
 //
-//   [magic u32 "SIDX"][version u32 = 2]
 //   [sketch_k u32][num_cols u32][num_rows u32][family u32][seed u64]
-//   sketches:   per column, [cardinality u64][size u32][size × u64]
-//   [masked CRC32C u32]
+//   the sketch columns, in the one bottom-k sketch codec of
+//   sketch/sketch_io.h: per column [cardinality u64][size u32][size × u64]
 //
 // Version 1 files also carry [rows_per_band u32][num_bands u32] after
 // sketch_k and, before the sketches, num_bands × num_cols u64 Min-LSH
@@ -26,31 +25,31 @@
 // load: the band fields are range-checked and the band arrays are read
 // through the checksum and dropped.
 //
-// The loaded index is read-only and position-independent: sketch
-// lookup is O(1) via an in-memory offset table, and a column's posting
-// mates are a walk over its runs. A server can therefore share one
-// index across request threads with no locking and reload by swapping
-// a shared_ptr.
+// The loaded index holds the sketches as one KMinHashSketch and is
+// read-only and position-independent: a column's sketch is an O(1)
+// lookup, and its posting mates are a walk over its runs. A server can
+// therefore share one index across request threads with no locking and
+// reload by swapping a shared_ptr.
 
 #ifndef SANS_SERVE_SIMILARITY_INDEX_H_
 #define SANS_SERVE_SIMILARITY_INDEX_H_
 
 #include <cstdint>
-#include <optional>
-#include <span>
 #include <string>
-#include <vector>
 
 #include "candgen/flat_buckets.h"
 #include "matrix/row_stream.h"
+#include "sketch/k_min_hash.h"
+#include "util/checksum_io.h"
 #include "util/hashing.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 
 namespace sans {
 
-inline constexpr uint32_t kSimilarityIndexMagic = 0x58444953u;  // "SIDX"
-inline constexpr uint32_t kSimilarityIndexVersion = 2;
+inline constexpr ArtifactFormat kSimilarityIndexFormat{
+    0x58444953u, /*version=*/2, /*min_version=*/1, /*trailer_since=*/1,
+    "similarity index"};
 
 /// Parameters of an index build.
 struct SimilarityIndexConfig {
@@ -82,48 +81,40 @@ class SimilarityIndex {
   /// untrusted paths.
   static Result<SimilarityIndex> Load(const std::string& path);
 
-  ColumnId num_cols() const { return num_cols_; }
+  ColumnId num_cols() const { return sketch_.num_cols(); }
   RowId num_rows() const { return num_rows_; }
-  int sketch_k() const { return sketch_k_; }
+  int sketch_k() const { return sketch_.k(); }
   HashFamily family() const { return family_; }
   uint64_t seed() const { return seed_; }
 
-  /// Bottom-k signature of `col`, ascending distinct hash values. O(1).
-  std::span<const uint64_t> Sketch(ColumnId col) const {
-    return {sketch_values_.data() + sketch_offsets_[col],
-            sketch_values_.data() + sketch_offsets_[col + 1]};
-  }
-
-  /// Exact |C_col| recorded at build time. O(1).
-  uint64_t Cardinality(ColumnId col) const { return cardinalities_[col]; }
+  /// Every column's bottom-k signature (ascending distinct hash
+  /// values) and the exact |C_col| recorded at build time.
+  const KMinHashSketch& sketch() const { return sketch_; }
 
   /// Calls visit(j) for every column j != col that shares a sketch
   /// value with `col`, once per shared value. An empty column has no
   /// mates.
   template <typename VisitFn>
   void ForEachPostingMate(ColumnId col, const VisitFn& visit) const {
-    postings_->ForEachMate(col, visit);
+    postings_.ForEachMate(col, visit);
   }
 
   /// Shape of the postings: `runs` distinct sketch values, the longest
   /// posting's column count in `longest`.
   const BucketRunStats& posting_stats() const {
-    return postings_->run_stats().front();
+    return postings_.run_stats().front();
   }
 
  private:
-  SimilarityIndex() = default;
+  SimilarityIndex(KMinHashSketch sketch, RowId num_rows, HashFamily family,
+                  uint64_t seed);
 
-  int sketch_k_ = 0;
-  ColumnId num_cols_ = 0;
-  RowId num_rows_ = 0;
-  HashFamily family_ = HashFamily::kSplitMix64;
-  uint64_t seed_ = 0;
-  std::vector<uint64_t> sketch_values_;  // concatenated signatures
-  std::vector<uint64_t> sketch_offsets_; // num_cols + 1
-  std::vector<uint64_t> cardinalities_;  // num_cols
-  // Built last in Load, from the sketches above.
-  std::optional<FlatBuckets> postings_;
+  KMinHashSketch sketch_;
+  RowId num_rows_;
+  HashFamily family_;
+  uint64_t seed_;
+  // Built from sketch_ at construction.
+  FlatBuckets postings_;
 };
 
 /// Builds an index file from a table: one bottom-k pass over the

@@ -106,9 +106,7 @@ KMinHashSketch IncrementalKMinHashBuilder::Snapshot() const {
     // semantics of Proposition 2.
     signature.erase(std::unique(signature.begin(), signature.end()),
                     signature.end());
-    SANS_CHECK(
-        sketch.SetColumn(c, std::move(signature), cardinalities_[c])
-            .ok());
+    SANS_CHECK(sketch.SetColumn(c, signature, cardinalities_[c]).ok());
   }
   return sketch;
 }

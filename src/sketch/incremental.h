@@ -25,8 +25,8 @@ class RowBlock;  // matrix/block_reader.h
 /// Maintains per-column bottom-k heaps over an append-only row
 /// stream. Thread-compatible (external synchronization required for
 /// concurrent AddRow calls). This is the one bottom-k accumulator:
-/// KMinHashGenerator and ComputeKMinHashParallel run one builder per
-/// worker and combine them with Merge.
+/// ComputeKMinHashParallel runs one builder per worker and combines
+/// them with Merge.
 class IncrementalKMinHashBuilder {
  public:
   /// The config's seed defines the row-hash function; builders that

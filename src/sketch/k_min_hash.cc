@@ -2,30 +2,30 @@
 
 #include <algorithm>
 
-#include "sketch/incremental.h"
-
 namespace sans {
 
 Status KMinHashConfig::Validate() const {
-  if (k <= 0) {
-    return Status::InvalidArgument("k must be positive");
+  if (k <= 0 || k > kMaxSketchK) {
+    return Status::InvalidArgument("k must lie in [1, 2^24]");
   }
   return Status::OK();
 }
 
 KMinHashSketch::KMinHashSketch(int k, ColumnId num_cols)
-    : k_(k),
-      num_cols_(num_cols),
-      signatures_(num_cols),
+    : k_(k), offsets_(num_cols, 0), sizes_(num_cols, 0),
       cardinalities_(num_cols, 0) {
   SANS_CHECK_GT(k, 0);
 }
 
 Status KMinHashSketch::SetColumn(ColumnId col,
-                                 std::vector<uint64_t> signature,
+                                 std::span<const uint64_t> signature,
                                  uint64_t cardinality) {
-  if (col >= num_cols_) {
+  if (col >= num_cols()) {
     return Status::OutOfRange("column id exceeds sketch width");
+  }
+  if (col < next_col_) {
+    return Status::InvalidArgument(
+        "columns must be installed in ascending order, each once");
   }
   if (signature.size() > static_cast<size_t>(k_)) {
     return Status::InvalidArgument("signature larger than k");
@@ -40,26 +40,16 @@ Status KMinHashSketch::SetColumn(ColumnId col,
     return Status::InvalidArgument(
         "cardinality smaller than signature size");
   }
-  signatures_[col] = std::move(signature);
+  if (signature.empty() != (cardinality == 0)) {
+    return Status::InvalidArgument(
+        "empty signature with nonzero cardinality");
+  }
+  offsets_[col] = values_.size();
+  sizes_[col] = static_cast<uint32_t>(signature.size());
+  values_.insert(values_.end(), signature.begin(), signature.end());
   cardinalities_[col] = cardinality;
+  next_col_ = col + 1;
   return Status::OK();
-}
-
-uint64_t KMinHashSketch::TotalSignatureSize() const {
-  uint64_t total = 0;
-  for (const auto& sig : signatures_) total += sig.size();
-  return total;
-}
-
-KMinHashGenerator::KMinHashGenerator(const KMinHashConfig& config)
-    : config_(config) {
-  SANS_CHECK(config.Validate().ok());
-}
-
-Result<KMinHashSketch> KMinHashGenerator::Compute(RowStream* rows) const {
-  IncrementalKMinHashBuilder builder(config_, rows->num_cols());
-  SANS_RETURN_IF_ERROR(builder.AddAll(rows));
-  return builder.Snapshot();
 }
 
 std::vector<uint64_t> MergeSignatures(std::span<const uint64_t> sig_a,

@@ -10,19 +10,22 @@
 #define SANS_SKETCH_K_MIN_HASH_H_
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
-#include "matrix/row_stream.h"
+#include "core/types.h"
 #include "util/hashing.h"
 #include "util/status.h"
 
 namespace sans {
 
+/// Largest signature capacity k a sketch, and any artifact holding
+/// one, accepts.
+inline constexpr int kMaxSketchK = 1 << 24;
+
 /// Configuration for K-Min-Hash sketch generation.
 struct KMinHashConfig {
-  /// k: signature capacity per column.
+  /// k: signature capacity per column, in [1, kMaxSketchK].
   int k = 100;
   /// Row-hash family (a single function is drawn from it).
   HashFamily family = HashFamily::kSplitMix64;
@@ -34,17 +37,22 @@ struct KMinHashConfig {
 /// All columns' bottom-k signatures plus the exact column
 /// cardinalities |C_i| observed during the scan (the biased estimator
 /// needs them; the paper assumes they are known, and the single pass
-/// provides them for free).
+/// provides them for free). The signatures sit in one flat array in
+/// column order, so a sweep over many columns (TopK's rerank, the
+/// bucket build) reads sequential memory.
 class KMinHashSketch {
  public:
+  /// `num_cols` empty columns: no signature values, cardinality 0.
   KMinHashSketch(int k, ColumnId num_cols);
 
   int k() const { return k_; }
-  ColumnId num_cols() const { return num_cols_; }
+  ColumnId num_cols() const {
+    return static_cast<ColumnId>(cardinalities_.size());
+  }
 
   /// SIG_i: ascending distinct hash values, size min(k, |C_i|).
   std::span<const uint64_t> Signature(ColumnId col) const {
-    return signatures_[col];
+    return {values_.data() + offsets_[col], sizes_[col]};
   }
 
   /// |C_i| counted exactly during the generating scan.
@@ -54,39 +62,24 @@ class KMinHashSketch {
 
   /// Total stored hash values across columns (memory diagnostics; the
   /// sublinearity shown in Fig. 6b is visible here).
-  uint64_t TotalSignatureSize() const;
+  uint64_t TotalSignatureSize() const { return values_.size(); }
 
-  /// Installs a column's signature directly (deserialization and
-  /// derived-column construction). The values must be strictly
+  /// Installs a column's signature (generation and deserialization).
+  /// Columns are installed in ascending order, each at most once; a
+  /// column never installed stays empty. The values must be strictly
   /// ascending with at most k entries, and the cardinality must be at
   /// least the signature size (a bottom-k sample cannot exceed its
-  /// population).
-  Status SetColumn(ColumnId col, std::vector<uint64_t> signature,
+  /// population) and zero exactly when the signature is empty.
+  Status SetColumn(ColumnId col, std::span<const uint64_t> signature,
                    uint64_t cardinality);
 
  private:
-  friend class BooleanColumnOps;  // builds derived (OR) signatures
-
   int k_;
-  ColumnId num_cols_;
-  std::vector<std::vector<uint64_t>> signatures_;
-  std::vector<uint64_t> cardinalities_;
-};
-
-/// Single-pass generator: one IncrementalKMinHashBuilder fed the
-/// whole stream (sketch/incremental.h), so each row is hashed once
-/// (batched per block of rows) and offered to every column with a 1
-/// in that row via a bounded max-heap.
-class KMinHashGenerator {
- public:
-  explicit KMinHashGenerator(const KMinHashConfig& config);
-
-  Result<KMinHashSketch> Compute(RowStream* rows) const;
-
-  const KMinHashConfig& config() const { return config_; }
-
- private:
-  KMinHashConfig config_;
+  std::vector<uint64_t> values_;         // signatures, in column order
+  std::vector<uint64_t> offsets_;        // per column, into values_
+  std::vector<uint32_t> sizes_;          // per column
+  std::vector<uint64_t> cardinalities_;  // per column
+  ColumnId next_col_ = 0;                // lowest column SetColumn takes
 };
 
 /// SIG_{i∪j}: the k smallest elements of SIG_i ∪ SIG_j (all of them if

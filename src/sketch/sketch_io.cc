@@ -1,130 +1,101 @@
 #include "sketch/sketch_io.h"
 
-#include <cstdio>
+#include <climits>
 #include <vector>
 
-#include "util/checksum_io.h"
-
 namespace sans {
-namespace {
 
-/// For v2 files: checks the trailer against the bytes consumed so
-/// far. No-op for v1 (no trailer to check).
-Status VerifyVersionedTrailer(CrcFile* f, uint32_t version) {
-  if (version < 2) return Status::OK();
-  return f->VerifyTrailer("sketch file");
+Status WriteSignatureMatrix(const SignatureMatrix& signatures,
+                            const std::string& path) {
+  SANS_ASSIGN_OR_RETURN(ArtifactWriter out,
+                        ArtifactWriter::Create(path, kSignatureFileFormat));
+  SANS_RETURN_IF_ERROR(
+      out.WriteScalar(static_cast<uint32_t>(signatures.num_hashes())));
+  SANS_RETURN_IF_ERROR(out.WriteScalar(signatures.num_cols()));
+  for (int l = 0; l < signatures.num_hashes(); ++l) {
+    const auto row = signatures.HashRow(l);
+    SANS_RETURN_IF_ERROR(out.Write(row.data(), row.size() * sizeof(uint64_t)));
+  }
+  return out.Finish();
 }
 
-Status CheckHeader(CrcFile* f, uint32_t expected_magic, uint32_t* version,
-                   uint32_t* k, uint32_t* m) {
-  uint32_t magic = 0;
-  SANS_RETURN_IF_ERROR(f->ReadScalar(&magic));
-  if (magic != expected_magic) {
-    return Status::Corruption("bad magic");
+Result<SignatureMatrix> ReadSignatureMatrix(const std::string& path) {
+  SANS_ASSIGN_OR_RETURN(ArtifactReader in,
+                        ArtifactReader::Open(path, kSignatureFileFormat));
+  uint32_t k = 0;
+  uint32_t m = 0;
+  SANS_RETURN_IF_ERROR(in.ReadScalar(&k));
+  SANS_RETURN_IF_ERROR(in.ReadScalar(&m));
+  if (k == 0 || k > INT_MAX) {
+    return Status::Corruption("signature file hash count out of range");
   }
-  SANS_RETURN_IF_ERROR(f->ReadScalar(version));
-  if (*version < kSketchIoMinVersion || *version > kSketchIoVersion) {
-    return Status::Corruption("unsupported version");
+  SANS_RETURN_IF_ERROR(in.CheckCount(uint64_t{k} * m, sizeof(uint64_t)));
+  SignatureMatrix signatures(static_cast<int>(k), m);
+  for (int l = 0; m > 0 && l < signatures.num_hashes(); ++l) {
+    const auto row = signatures.MutableHashRow(l);
+    SANS_RETURN_IF_ERROR(in.Read(row.data(), row.size() * sizeof(uint64_t)));
   }
-  SANS_RETURN_IF_ERROR(f->ReadScalar(k));
-  SANS_RETURN_IF_ERROR(f->ReadScalar(m));
-  if (*k == 0) {
-    return Status::Corruption("k must be positive");
+  SANS_RETURN_IF_ERROR(in.Finish());
+  return signatures;
+}
+
+Status WriteSketchColumns(const KMinHashSketch& sketch, ArtifactWriter* out) {
+  for (ColumnId c = 0; c < sketch.num_cols(); ++c) {
+    const auto sig = sketch.Signature(c);
+    SANS_RETURN_IF_ERROR(out->WriteScalar(sketch.ColumnCardinality(c)));
+    SANS_RETURN_IF_ERROR(out->WriteScalar(static_cast<uint32_t>(sig.size())));
+    SANS_RETURN_IF_ERROR(out->Write(sig.data(), sig.size() * sizeof(uint64_t)));
   }
   return Status::OK();
 }
 
-}  // namespace
-
-Status WriteSignatureMatrix(const SignatureMatrix& signatures,
-                            const std::string& path) {
-  File file(std::fopen(path.c_str(), "wb"));
-  if (file == nullptr) {
-    return Status::IOError("cannot open for writing: " + path);
+Result<KMinHashSketch> ReadSketchColumns(ArtifactReader* in, uint32_t k,
+                                         uint32_t num_cols) {
+  if (k == 0 || k > static_cast<uint32_t>(kMaxSketchK)) {
+    return Status::Corruption("sketch k out of range");
   }
-  CrcFile f{file.get()};
-  SANS_RETURN_IF_ERROR(f.WriteScalar(kSignatureFileMagic));
-  SANS_RETURN_IF_ERROR(f.WriteScalar(kSketchIoVersion));
+  // A column is at least its cardinality and size fields.
   SANS_RETURN_IF_ERROR(
-      f.WriteScalar(static_cast<uint32_t>(signatures.num_hashes())));
-  SANS_RETURN_IF_ERROR(f.WriteScalar(signatures.num_cols()));
-  for (int l = 0; l < signatures.num_hashes(); ++l) {
-    const auto row = signatures.HashRow(l);
-    SANS_RETURN_IF_ERROR(f.Write(row.data(), row.size() * sizeof(uint64_t)));
-  }
-  return f.WriteTrailer();
-}
-
-Result<SignatureMatrix> ReadSignatureMatrix(const std::string& path) {
-  File file(std::fopen(path.c_str(), "rb"));
-  if (file == nullptr) {
-    return Status::IOError("cannot open for reading: " + path);
-  }
-  CrcFile f{file.get()};
-  uint32_t version = 0;
-  uint32_t k = 0;
-  uint32_t m = 0;
-  SANS_RETURN_IF_ERROR(
-      CheckHeader(&f, kSignatureFileMagic, &version, &k, &m));
-  SignatureMatrix signatures(static_cast<int>(k), m);
-  std::vector<uint64_t> row(m);
-  for (uint32_t l = 0; l < k; ++l) {
-    SANS_RETURN_IF_ERROR(f.Read(row.data(), row.size() * sizeof(uint64_t)));
-    for (ColumnId c = 0; c < m; ++c) {
-      signatures.SetValue(static_cast<int>(l), c, row[c]);
+      in->CheckCount(num_cols, sizeof(uint64_t) + sizeof(uint32_t)));
+  KMinHashSketch sketch(static_cast<int>(k), num_cols);
+  std::vector<uint64_t> signature;
+  for (ColumnId c = 0; c < num_cols; ++c) {
+    uint64_t cardinality = 0;
+    uint32_t size = 0;
+    SANS_RETURN_IF_ERROR(in->ReadScalar(&cardinality));
+    SANS_RETURN_IF_ERROR(in->ReadScalar(&size));
+    SANS_RETURN_IF_ERROR(in->CheckCount(size, sizeof(uint64_t)));
+    signature.resize(size);
+    SANS_RETURN_IF_ERROR(
+        in->Read(signature.data(), signature.size() * sizeof(uint64_t)));
+    if (const Status s = sketch.SetColumn(c, signature, cardinality);
+        !s.ok()) {
+      return Status::Corruption("sketch column " + std::to_string(c) + ": " +
+                                s.message());
     }
   }
-  SANS_RETURN_IF_ERROR(VerifyVersionedTrailer(&f, version));
-  return signatures;
+  return sketch;
 }
 
 Status WriteKMinHashSketch(const KMinHashSketch& sketch,
                            const std::string& path) {
-  File file(std::fopen(path.c_str(), "wb"));
-  if (file == nullptr) {
-    return Status::IOError("cannot open for writing: " + path);
-  }
-  CrcFile f{file.get()};
-  SANS_RETURN_IF_ERROR(f.WriteScalar(kSketchFileMagic));
-  SANS_RETURN_IF_ERROR(f.WriteScalar(kSketchIoVersion));
-  SANS_RETURN_IF_ERROR(f.WriteScalar(static_cast<uint32_t>(sketch.k())));
-  SANS_RETURN_IF_ERROR(f.WriteScalar(sketch.num_cols()));
-  for (ColumnId c = 0; c < sketch.num_cols(); ++c) {
-    SANS_RETURN_IF_ERROR(f.WriteScalar(sketch.ColumnCardinality(c)));
-    const auto sig = sketch.Signature(c);
-    SANS_RETURN_IF_ERROR(
-        f.WriteScalar(static_cast<uint32_t>(sig.size())));
-    SANS_RETURN_IF_ERROR(f.Write(sig.data(), sig.size() * sizeof(uint64_t)));
-  }
-  return f.WriteTrailer();
+  SANS_ASSIGN_OR_RETURN(ArtifactWriter out,
+                        ArtifactWriter::Create(path, kSketchFileFormat));
+  SANS_RETURN_IF_ERROR(out.WriteScalar(static_cast<uint32_t>(sketch.k())));
+  SANS_RETURN_IF_ERROR(out.WriteScalar(sketch.num_cols()));
+  SANS_RETURN_IF_ERROR(WriteSketchColumns(sketch, &out));
+  return out.Finish();
 }
 
 Result<KMinHashSketch> ReadKMinHashSketch(const std::string& path) {
-  File file(std::fopen(path.c_str(), "rb"));
-  if (file == nullptr) {
-    return Status::IOError("cannot open for reading: " + path);
-  }
-  CrcFile f{file.get()};
-  uint32_t version = 0;
+  SANS_ASSIGN_OR_RETURN(ArtifactReader in,
+                        ArtifactReader::Open(path, kSketchFileFormat));
   uint32_t k = 0;
   uint32_t m = 0;
-  SANS_RETURN_IF_ERROR(CheckHeader(&f, kSketchFileMagic, &version, &k, &m));
-  KMinHashSketch sketch(static_cast<int>(k), m);
-  for (ColumnId c = 0; c < m; ++c) {
-    uint64_t cardinality = 0;
-    uint32_t size = 0;
-    SANS_RETURN_IF_ERROR(f.ReadScalar(&cardinality));
-    SANS_RETURN_IF_ERROR(f.ReadScalar(&size));
-    if (size > k) {
-      return Status::Corruption("signature larger than k");
-    }
-    std::vector<uint64_t> signature(size);
-    SANS_RETURN_IF_ERROR(
-        f.Read(signature.data(), signature.size() * sizeof(uint64_t)));
-    SANS_RETURN_IF_ERROR(
-        sketch.SetColumn(c, std::move(signature), cardinality));
-  }
-  SANS_RETURN_IF_ERROR(VerifyVersionedTrailer(&f, version));
+  SANS_RETURN_IF_ERROR(in.ReadScalar(&k));
+  SANS_RETURN_IF_ERROR(in.ReadScalar(&m));
+  SANS_ASSIGN_OR_RETURN(KMinHashSketch sketch, ReadSketchColumns(&in, k, m));
+  SANS_RETURN_IF_ERROR(in.Finish());
   return sketch;
 }
 

@@ -3,15 +3,20 @@
 // it lets phase 2 (candidate generation) rerun with different
 // parameters without rescanning the table.
 //
-// Formats (little-endian):
-//   signature file: [magic u32 "SGNS"][version u32][k u32][m u32]
-//                   [k*m u64 values, row-major]
-//   sketch file:    [magic u32 "SKCH"][version u32][k u32][m u32]
-//                   per column: [cardinality u64][size u32][size u64]
+// Both files are bodies in the checksummed artifact container
+// (util/checksum_io.h). Bodies (little-endian):
+//   signature file "SGNS": [k u32][m u32][k*m u64 values, row-major]
+//   sketch file "SKCH":    [k u32][m u32] then the sketch columns
 //
-// Version 2 (current write format) appends a masked CRC32C trailer
-// over all preceding bytes, folded incrementally on both the write and
-// the read path, so a truncated or bit-rotted artifact is rejected as
+// The sketch columns are the one bottom-k sketch codec, shared with
+// the .sidx index (serve/similarity_index.h): per column
+//   [cardinality u64][size u32][size × u64 values]
+// Its reader bounds the column count and every size by the bytes left
+// before allocating, and rejects any column KMinHashSketch::SetColumn
+// refuses, all as kCorruption.
+//
+// Version 2 (current write format) ends in the container's CRC32C
+// trailer, so a truncated or bit-rotted artifact is rejected as
 // kCorruption instead of yielding silently wrong similarities. v1
 // files (no trailer) still load.
 
@@ -22,16 +27,17 @@
 
 #include "sketch/k_min_hash.h"
 #include "sketch/signature_matrix.h"
+#include "util/checksum_io.h"
 #include "util/status.h"
 
 namespace sans {
 
-inline constexpr uint32_t kSignatureFileMagic = 0x534e4753u;  // "SGNS"
-inline constexpr uint32_t kSketchFileMagic = 0x48434b53u;     // "SKCH"
-/// Version writers emit (v2 = CRC32C trailer).
-inline constexpr uint32_t kSketchIoVersion = 2;
-/// Oldest version readers still accept.
-inline constexpr uint32_t kSketchIoMinVersion = 1;
+inline constexpr ArtifactFormat kSignatureFileFormat{
+    0x534e4753u, /*version=*/2, /*min_version=*/1, /*trailer_since=*/2,
+    "signature file"};
+inline constexpr ArtifactFormat kSketchFileFormat{
+    0x48434b53u, /*version=*/2, /*min_version=*/1, /*trailer_since=*/2,
+    "sketch file"};
 
 /// Writes a signature matrix to `path`.
 Status WriteSignatureMatrix(const SignatureMatrix& signatures,
@@ -44,9 +50,17 @@ Result<SignatureMatrix> ReadSignatureMatrix(const std::string& path);
 Status WriteKMinHashSketch(const KMinHashSketch& sketch,
                            const std::string& path);
 
-/// Reads a bottom-k sketch, validating the header and that each
-/// signature is sorted, distinct, and at most k values.
+/// Reads a bottom-k sketch, validating the header and every column.
 Result<KMinHashSketch> ReadKMinHashSketch(const std::string& path);
+
+/// The sketch codec: every column of `sketch`, in column order.
+Status WriteSketchColumns(const KMinHashSketch& sketch, ArtifactWriter* out);
+
+/// Reads `num_cols` sketch columns of capacity `k` written by
+/// WriteSketchColumns. kCorruption for a k outside [1, kMaxSketchK] or
+/// any malformed column.
+Result<KMinHashSketch> ReadSketchColumns(ArtifactReader* in, uint32_t k,
+                                         uint32_t num_cols);
 
 }  // namespace sans
 

@@ -1,8 +1,7 @@
 // Wall-clock stopwatch and a phase-timing accumulator used by the
 // benchmark harness to report per-phase costs (signature generation,
 // candidate generation, verification) the way the paper's Section 5
-// figures break them down. (LatencyHistogram, which used to live here,
-// moved to obs/metrics.h so it registers alongside counters/gauges.)
+// figures break them down.
 
 #ifndef SANS_UTIL_TIMER_H_
 #define SANS_UTIL_TIMER_H_

@@ -10,6 +10,7 @@
 #include "data/news_generator.h"
 #include "data/synthetic_generator.h"
 #include "matrix/row_stream.h"
+#include "mine/parallel.h"
 #include "obs/metrics.h"
 #include "sketch/estimators.h"
 #include "sketch/min_hash.h"
@@ -21,9 +22,8 @@ KMinHashSketch SketchOf(const BinaryMatrix& matrix, int k, uint64_t seed) {
   KMinHashConfig config;
   config.k = k;
   config.seed = seed;
-  KMinHashGenerator generator(config);
-  InMemoryRowStream stream(&matrix);
-  auto sketch = generator.Compute(&stream);
+  auto sketch = ComputeKMinHashParallel(
+      InMemorySource(&matrix), config, ExecutionConfig{}, nullptr);
   EXPECT_TRUE(sketch.ok());
   return std::move(sketch).value();
 }
@@ -111,10 +111,9 @@ TEST(HashCountMinHashTest, SkipsEmptyColumns) {
 TEST(HashCountKMinHashTest, EmptySketchYieldsNothing) {
   KMinHashConfig config;
   config.k = 4;
-  KMinHashGenerator generator(config);
   BinaryMatrix empty(5, 4);
-  InMemoryRowStream stream(&empty);
-  auto sketch = generator.Compute(&stream);
+  auto sketch = ComputeKMinHashParallel(
+      InMemorySource(&empty), config, ExecutionConfig{}, nullptr);
   ASSERT_TRUE(sketch.ok());
   EXPECT_TRUE(HashCountKMinHash(*sketch, 1).empty());
 }

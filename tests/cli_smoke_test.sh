@@ -177,4 +177,29 @@ if "$SANS_BIN" mine --in corpus.sans --algorithm bogus 2>/dev/null; then
   exit 1
 fi
 
+# A flag the command does not read exits 2 and is named, including
+# the band flags the index dropped with .sidx v2.
+expect_unknown_flag() {
+  local flag="$1"
+  shift
+  local status=0
+  "$SANS_BIN" "$@" > /dev/null 2> flag.err || status=$?
+  test "$status" -eq 2
+  grep -q -- "--$flag" flag.err
+}
+expect_unknown_flag bogus index --in corpus.sans --out bogus.sidx --bogus 3
+expect_unknown_flag r index --in corpus.sans --out stale.sidx --r 4 --l 16
+expect_unknown_flag bogus mine --in corpus.sans --algorithm mh --bogus
+test ! -e bogus.sidx
+test ! -e stale.sidx
+
+# A 16-byte sketch header declaring 0xF0000000 columns is corrupt, not
+# an allocation.
+printf 'SKCH\x02\x00\x00\x00\x04\x00\x00\x00\x00\x00\x00\xf0' \
+    > inflated.sketch
+status=0
+"$SANS_BIN" pairs --sketch inflated.sketch 2> inflated.err || status=$?
+test "$status" -eq 1
+grep -qi corrupt inflated.err
+
 echo "CLI smoke test passed"

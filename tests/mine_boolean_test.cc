@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "matrix/row_stream.h"
+#include "mine/parallel.h"
 #include "sketch/min_hash.h"
 
 namespace sans {
@@ -82,9 +83,8 @@ TEST(OrSketchSignatureTest, MatchesUnionColumnSketch) {
   KMinHashConfig config;
   config.k = 3;
   config.seed = 4;
-  KMinHashGenerator generator(config);
-  InMemoryRowStream stream(&m);
-  auto sketch = generator.Compute(&stream);
+  auto sketch = ComputeKMinHashParallel(
+      InMemorySource(&m), config, ExecutionConfig{}, nullptr);
   ASSERT_TRUE(sketch.ok());
   auto or_sig = OrSketchSignature(*sketch, {0, 1});
   ASSERT_TRUE(or_sig.ok());
@@ -96,9 +96,8 @@ TEST(OrSketchSignatureTest, RejectsBadInput) {
   const BinaryMatrix m = OrMatrix();
   KMinHashConfig config;
   config.k = 3;
-  KMinHashGenerator generator(config);
-  InMemoryRowStream stream(&m);
-  auto sketch = generator.Compute(&stream);
+  auto sketch = ComputeKMinHashParallel(
+      InMemorySource(&m), config, ExecutionConfig{}, nullptr);
   ASSERT_TRUE(sketch.ok());
   EXPECT_FALSE(OrSketchSignature(*sketch, {}).ok());
   EXPECT_FALSE(OrSketchSignature(*sketch, {11}).ok());

@@ -16,6 +16,7 @@
 #include "mine/kmh_miner.h"
 #include "mine/mh_miner.h"
 #include "mine/mlsh_miner.h"
+#include "mine/parallel.h"
 #include "sketch/estimators.h"
 
 namespace sans {
@@ -229,8 +230,9 @@ TEST(KmhMinerTest, UnbiasedPruningKeepsExactlyTheEstimatesAboveFloor) {
   constexpr double kThreshold = 0.5;
   const double floor = (1.0 - config.delta) * kThreshold;
 
-  InMemoryRowStream stream(&data.matrix);
-  auto sketch = KMinHashGenerator(config.sketch).Compute(&stream);
+  auto sketch = ComputeKMinHashParallel(InMemorySource(&data.matrix),
+                                        config.sketch, ExecutionConfig{},
+                                        nullptr);
   ASSERT_TRUE(sketch.ok());
   const CandidateSet filtered = HashCountKMinHashAdaptive(
       *sketch, config.hash_count_slack * kThreshold);

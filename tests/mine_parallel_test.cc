@@ -136,9 +136,8 @@ TEST_P(ParallelKMinHashTest, MatchesSequentialBitForBit) {
     });
     ASSERT_TRUE(parallel.ok());
 
-    KMinHashGenerator generator(config);
-    InMemoryRowStream stream(&m);
-    auto sequential = generator.Compute(&stream);
+    auto sequential = ComputeKMinHashParallel(
+        InMemorySource(&m), config, ExecutionConfig{}, nullptr);
     ASSERT_TRUE(sequential.ok());
     for (ColumnId c = 0; c < m.num_cols(); ++c) {
       const auto p = parallel->Signature(c);

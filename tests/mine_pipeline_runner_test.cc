@@ -486,18 +486,15 @@ TEST_F(PipelineRunnerTest, CorruptCandidateArtifactRejected) {
 void WriteRawCandidateFile(
     const std::string& path,
     const std::vector<std::tuple<ColumnId, ColumnId, uint64_t>>& entries) {
-  File file(std::fopen(path.c_str(), "wb"));
-  ASSERT_NE(file, nullptr);
-  CrcFile f{file.get()};
-  ASSERT_TRUE(f.WriteScalar(kCandidateFileMagic).ok());
-  ASSERT_TRUE(f.WriteScalar(kCandidateIoVersion).ok());
-  ASSERT_TRUE(f.WriteScalar(static_cast<uint64_t>(entries.size())).ok());
+  auto f = ArtifactWriter::Create(path, kCandidateFileFormat);
+  ASSERT_TRUE(f.ok());
+  ASSERT_TRUE(f->WriteScalar(static_cast<uint64_t>(entries.size())).ok());
   for (const auto& [first, second, count] : entries) {
-    ASSERT_TRUE(f.WriteScalar(first).ok());
-    ASSERT_TRUE(f.WriteScalar(second).ok());
-    ASSERT_TRUE(f.WriteScalar(count).ok());
+    ASSERT_TRUE(f->WriteScalar(first).ok());
+    ASSERT_TRUE(f->WriteScalar(second).ok());
+    ASSERT_TRUE(f->WriteScalar(count).ok());
   }
-  ASSERT_TRUE(f.WriteTrailer().ok());
+  ASSERT_TRUE(f->Finish().ok());
 }
 
 TEST_F(PipelineRunnerTest, UnorderedCandidateArtifactRejected) {

@@ -10,6 +10,7 @@
 #include "data/synthetic_generator.h"
 #include "lsh/filter_functions.h"
 #include "matrix/row_stream.h"
+#include "mine/parallel.h"
 #include "sketch/estimators.h"
 #include "sketch/k_min_hash.h"
 #include "sketch/min_hash.h"
@@ -105,9 +106,8 @@ TEST_P(KmhEstimatorProperty, UnbiasedEstimatorTracksTruth) {
     KMinHashConfig config;
     config.k = k;
     config.seed = 500 + t;
-    KMinHashGenerator generator(config);
-    InMemoryRowStream stream(&m);
-    auto sketch = generator.Compute(&stream);
+    auto sketch = ComputeKMinHashParallel(
+        InMemorySource(&m), config, ExecutionConfig{}, nullptr);
     ASSERT_TRUE(sketch.ok());
     mean += EstimateSimilarityUnbiased(sketch->Signature(0),
                                        sketch->Signature(1), k);

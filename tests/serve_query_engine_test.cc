@@ -108,11 +108,12 @@ TEST_F(QueryEngineTest, TopKIsSortedAndRespectsKAndThreshold) {
 /// best first, cut at k.
 std::vector<Neighbor> FullScanTopK(const SimilarityIndex& index, ColumnId col,
                                    int k, double min_similarity) {
+  const KMinHashSketch& sketch = index.sketch();
   std::vector<Neighbor> all;
   for (ColumnId other = 0; other < index.num_cols(); ++other) {
-    if (other == col || index.Cardinality(other) == 0) continue;
+    if (other == col || sketch.ColumnCardinality(other) == 0) continue;
     const double similarity = EstimateSimilarityUnbiased(
-        index.Sketch(col), index.Sketch(other), index.sketch_k());
+        sketch.Signature(col), sketch.Signature(other), sketch.k());
     if (similarity < min_similarity) continue;
     all.push_back(Neighbor{other, similarity});
   }
@@ -160,7 +161,8 @@ TEST_F(QueryEngineTest, TopKEqualsFullScan) {
     size_t touched_zeros = 0;
     for (ColumnId col = 0; col < index.num_cols(); ++col) {
       index.ForEachPostingMate(col, [&](ColumnId j) {
-        if (EstimateSimilarityUnbiased(index.Sketch(col), index.Sketch(j),
+        if (EstimateSimilarityUnbiased(index.sketch().Signature(col),
+                                       index.sketch().Signature(j),
                                        sketch_k) == 0.0) {
           ++touched_zeros;
         }

@@ -7,6 +7,7 @@
 
 #include "data/synthetic_generator.h"
 #include "matrix/row_stream.h"
+#include "mine/parallel.h"
 #include "sketch/k_min_hash.h"
 #include "util/random.h"
 
@@ -169,9 +170,9 @@ TEST(EstimateSimilarityBiasedTest, TracksTruthOnRandomData) {
   KMinHashConfig sketch_config;
   sketch_config.k = 256;
   sketch_config.seed = 23;
-  KMinHashGenerator generator(sketch_config);
-  InMemoryRowStream stream(&dataset->matrix);
-  auto sketch = generator.Compute(&stream);
+  auto sketch = ComputeKMinHashParallel(
+      InMemorySource(&dataset->matrix), sketch_config,
+      ExecutionConfig{}, nullptr);
   ASSERT_TRUE(sketch.ok());
 
   const uint64_t t = SignatureIntersectionSize(

@@ -5,6 +5,7 @@
 #include "data/weblog_generator.h"
 #include "matrix/block_reader.h"
 #include "matrix/row_stream.h"
+#include "mine/parallel.h"
 #include "sketch/estimators.h"
 
 namespace sans {
@@ -42,9 +43,8 @@ TEST(IncrementalKMinHashTest, AddAllMatchesBatchGenerator) {
   config.k = 32;
   config.seed = 5;
 
-  KMinHashGenerator generator(config);
-  InMemoryRowStream stream(&data.matrix);
-  auto batch = generator.Compute(&stream);
+  auto batch = ComputeKMinHashParallel(
+      InMemorySource(&data.matrix), config, ExecutionConfig{}, nullptr);
   ASSERT_TRUE(batch.ok());
 
   IncrementalKMinHashBuilder builder(config, data.matrix.num_cols());
@@ -65,9 +65,8 @@ TEST(IncrementalKMinHashTest, RowAtATimeMatchesBatch) {
     ASSERT_TRUE(builder.AddRow(r, data.matrix.Row(r)).ok());
   }
 
-  KMinHashGenerator generator(config);
-  InMemoryRowStream stream(&data.matrix);
-  auto batch = generator.Compute(&stream);
+  auto batch = ComputeKMinHashParallel(
+      InMemorySource(&data.matrix), config, ExecutionConfig{}, nullptr);
   ASSERT_TRUE(batch.ok());
   ExpectSameSketch(builder.Snapshot(), *batch);
 }
@@ -122,9 +121,8 @@ TEST(IncrementalKMinHashTest, MergeOfPartitionsMatchesBatch) {
   ASSERT_TRUE(parts[0].Merge(parts[1]).ok());
   ASSERT_TRUE(parts[0].Merge(parts[2]).ok());
 
-  KMinHashGenerator generator(config);
-  InMemoryRowStream stream(&data.matrix);
-  auto batch = generator.Compute(&stream);
+  auto batch = ComputeKMinHashParallel(
+      InMemorySource(&data.matrix), config, ExecutionConfig{}, nullptr);
   ASSERT_TRUE(batch.ok());
   ExpectSameSketch(parts[0].Snapshot(), *batch);
   EXPECT_EQ(parts[0].rows_ingested(), data.matrix.num_rows());

@@ -8,6 +8,7 @@
 
 #include "data/synthetic_generator.h"
 #include "matrix/row_stream.h"
+#include "mine/parallel.h"
 #include "sketch/min_hash.h"
 
 namespace sans {
@@ -73,9 +74,8 @@ TEST_F(SketchIoTest, SketchRoundTrips) {
   KMinHashConfig config;
   config.k = 8;
   config.seed = 7;
-  KMinHashGenerator generator(config);
-  InMemoryRowStream stream(&m);
-  auto sketch = generator.Compute(&stream);
+  auto sketch = ComputeKMinHashParallel(
+      InMemorySource(&m), config, ExecutionConfig{}, nullptr);
   ASSERT_TRUE(sketch.ok());
 
   const std::string path = Path("sketch.sans");
@@ -108,23 +108,6 @@ TEST_F(SketchIoTest, WrongMagicRejected) {
   auto as_sketch = ReadKMinHashSketch(path);
   EXPECT_FALSE(as_sketch.ok());
   EXPECT_EQ(as_sketch.status().code(), StatusCode::kCorruption);
-}
-
-TEST_F(SketchIoTest, TruncationDetected) {
-  const BinaryMatrix m = TestMatrix();
-  KMinHashConfig config;
-  config.k = 8;
-  KMinHashGenerator generator(config);
-  InMemoryRowStream stream(&m);
-  auto sketch = generator.Compute(&stream);
-  ASSERT_TRUE(sketch.ok());
-  const std::string path = Path("trunc.sans");
-  ASSERT_TRUE(WriteKMinHashSketch(*sketch, path).ok());
-  std::filesystem::resize_file(path,
-                               std::filesystem::file_size(path) - 9);
-  auto loaded = ReadKMinHashSketch(path);
-  EXPECT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
 }
 
 void FlipByte(const std::string& path, long offset, char mask) {
@@ -175,9 +158,8 @@ TEST_F(SketchIoTest, SketchBitFlipCaughtByChecksum) {
   KMinHashConfig config;
   config.k = 8;
   config.seed = 7;
-  KMinHashGenerator generator(config);
-  InMemoryRowStream stream(&m);
-  auto sketch = generator.Compute(&stream);
+  auto sketch = ComputeKMinHashParallel(
+      InMemorySource(&m), config, ExecutionConfig{}, nullptr);
   ASSERT_TRUE(sketch.ok());
   const std::string path = Path("sketch.sans");
   ASSERT_TRUE(WriteKMinHashSketch(*sketch, path).ok());
@@ -215,9 +197,8 @@ TEST_F(SketchIoTest, VersionOneSketchFileStillLoads) {
   KMinHashConfig config;
   config.k = 8;
   config.seed = 7;
-  KMinHashGenerator generator(config);
-  InMemoryRowStream stream(&m);
-  auto sketch = generator.Compute(&stream);
+  auto sketch = ComputeKMinHashParallel(
+      InMemorySource(&m), config, ExecutionConfig{}, nullptr);
   ASSERT_TRUE(sketch.ok());
   const std::string path = Path("sketch_v1.sans");
   ASSERT_TRUE(WriteKMinHashSketch(*sketch, path).ok());
@@ -240,13 +221,37 @@ TEST_F(SketchIoTest, MissingFileIsIOError) {
 }
 
 TEST(KMinHashSketchSetColumnTest, ValidatesInput) {
+  using Values = std::vector<uint64_t>;
+  const auto set = [](ColumnId col, const Values& values,
+                      uint64_t cardinality) {
+    KMinHashSketch sketch(4, 3);
+    return sketch.SetColumn(col, values, cardinality).ok();
+  };
+  EXPECT_TRUE(set(0, {1, 2, 3}, 3));
+  EXPECT_TRUE(set(2, {}, 0));
+  EXPECT_FALSE(set(5, {1}, 1));              // range
+  EXPECT_FALSE(set(0, {1, 2, 3, 4, 5}, 9));  // > k
+  EXPECT_FALSE(set(0, {3, 2}, 2));           // unsorted
+  EXPECT_FALSE(set(0, {2, 2}, 2));           // duplicate
+  EXPECT_FALSE(set(0, {1, 2}, 1));           // card < size
+  EXPECT_FALSE(set(0, {}, 4));               // empty, card > 0
+}
+
+TEST(KMinHashSketchSetColumnTest, ColumnsInstallInAscendingOrder) {
   KMinHashSketch sketch(4, 3);
-  EXPECT_TRUE(sketch.SetColumn(0, {1, 2, 3}, 3).ok());
-  EXPECT_FALSE(sketch.SetColumn(5, {1}, 1).ok());        // range
-  EXPECT_FALSE(sketch.SetColumn(0, {1, 2, 3, 4, 5}, 9).ok());  // > k
-  EXPECT_FALSE(sketch.SetColumn(0, {3, 2}, 2).ok());     // unsorted
-  EXPECT_FALSE(sketch.SetColumn(0, {2, 2}, 2).ok());     // duplicate
-  EXPECT_FALSE(sketch.SetColumn(0, {1, 2}, 1).ok());     // card < size
+  ASSERT_TRUE(sketch.SetColumn(1, std::vector<uint64_t>{5, 9}, 2).ok());
+  EXPECT_FALSE(sketch.SetColumn(1, std::vector<uint64_t>{1}, 1).ok());
+  EXPECT_FALSE(sketch.SetColumn(0, std::vector<uint64_t>{1}, 1).ok());
+  ASSERT_TRUE(sketch.SetColumn(2, std::vector<uint64_t>{7}, 6).ok());
+  // Column 0 was skipped: it stays empty.
+  EXPECT_TRUE(sketch.Signature(0).empty());
+  EXPECT_EQ(sketch.ColumnCardinality(0), 0u);
+  EXPECT_EQ(std::vector<uint64_t>(sketch.Signature(1).begin(),
+                                  sketch.Signature(1).end()),
+            (std::vector<uint64_t>{5, 9}));
+  EXPECT_EQ(sketch.Signature(2).front(), 7u);
+  EXPECT_EQ(sketch.ColumnCardinality(2), 6u);
+  EXPECT_EQ(sketch.TotalSignatureSize(), 3u);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include "data/synthetic_generator.h"
 #include "matrix/row_stream.h"
+#include "mine/parallel.h"
 #include "sketch/estimators.h"
 
 namespace sans {
@@ -29,9 +30,8 @@ TEST(KMinHashGeneratorTest, SignatureSizesRespectCardinalityAndK) {
   KMinHashConfig config;
   config.k = 2;
   config.seed = 1;
-  KMinHashGenerator generator(config);
-  InMemoryRowStream stream(&m);
-  auto sketch = generator.Compute(&stream);
+  auto sketch = ComputeKMinHashParallel(
+      InMemorySource(&m), config, ExecutionConfig{}, nullptr);
   ASSERT_TRUE(sketch.ok());
   // |C_0| = 2, |C_1| = 3, |C_2| = 2; k = 2 caps them all at 2.
   EXPECT_EQ(sketch->Signature(0).size(), 2u);
@@ -45,9 +45,8 @@ TEST(KMinHashGeneratorTest, SparseColumnKeepsAllValues) {
   const BinaryMatrix m = PaperExample();
   KMinHashConfig config;
   config.k = 100;  // far above every cardinality
-  KMinHashGenerator generator(config);
-  InMemoryRowStream stream(&m);
-  auto sketch = generator.Compute(&stream);
+  auto sketch = ComputeKMinHashParallel(
+      InMemorySource(&m), config, ExecutionConfig{}, nullptr);
   ASSERT_TRUE(sketch.ok());
   EXPECT_EQ(sketch->Signature(0).size(), 2u);
   EXPECT_EQ(sketch->Signature(1).size(), 3u);
@@ -59,9 +58,8 @@ TEST(KMinHashGeneratorTest, SignaturesAreSortedDistinct) {
   KMinHashConfig config;
   config.k = 3;
   config.seed = 9;
-  KMinHashGenerator generator(config);
-  InMemoryRowStream stream(&m);
-  auto sketch = generator.Compute(&stream);
+  auto sketch = ComputeKMinHashParallel(
+      InMemorySource(&m), config, ExecutionConfig{}, nullptr);
   ASSERT_TRUE(sketch.ok());
   for (ColumnId c = 0; c < 3; ++c) {
     const auto sig = sketch->Signature(c);
@@ -79,17 +77,15 @@ TEST(KMinHashGeneratorTest, SignatureIsBottomKOfColumnRowHashes) {
   KMinHashConfig full_config;
   full_config.k = 100;
   full_config.seed = 4;
-  KMinHashGenerator full_gen(full_config);
-  InMemoryRowStream s1(&m);
-  auto full = full_gen.Compute(&s1);
+  auto full = ComputeKMinHashParallel(
+      InMemorySource(&m), full_config, ExecutionConfig{}, nullptr);
   ASSERT_TRUE(full.ok());
 
   KMinHashConfig small_config;
   small_config.k = 2;
   small_config.seed = 4;  // same hash function
-  KMinHashGenerator small_gen(small_config);
-  InMemoryRowStream s2(&m);
-  auto small = small_gen.Compute(&s2);
+  auto small = ComputeKMinHashParallel(
+      InMemorySource(&m), small_config, ExecutionConfig{}, nullptr);
   ASSERT_TRUE(small.ok());
 
   for (ColumnId c = 0; c < 3; ++c) {
@@ -110,9 +106,8 @@ TEST(KMinHashGeneratorTest, SharedRowsShareHashValues) {
   KMinHashConfig config;
   config.k = 10;
   config.seed = 2;
-  KMinHashGenerator generator(config);
-  InMemoryRowStream stream(&m);
-  auto sketch = generator.Compute(&stream);
+  auto sketch = ComputeKMinHashParallel(
+      InMemorySource(&m), config, ExecutionConfig{}, nullptr);
   ASSERT_TRUE(sketch.ok());
   EXPECT_EQ(
       SignatureIntersectionSize(sketch->Signature(0), sketch->Signature(1)),
@@ -160,9 +155,8 @@ TEST(KMinHashGeneratorTest, UnbiasedEstimatorConverges) {
   KMinHashConfig config;
   config.k = 400;
   config.seed = 13;
-  KMinHashGenerator generator(config);
-  InMemoryRowStream stream(&dataset->matrix);
-  auto sketch = generator.Compute(&stream);
+  auto sketch = ComputeKMinHashParallel(
+      InMemorySource(&dataset->matrix), config, ExecutionConfig{}, nullptr);
   ASSERT_TRUE(sketch.ok());
   const double estimate = EstimateSimilarityUnbiased(
       sketch->Signature(planted.first), sketch->Signature(planted.second),

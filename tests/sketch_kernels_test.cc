@@ -9,6 +9,7 @@
 
 #include "matrix/binary_matrix.h"
 #include "matrix/row_stream.h"
+#include "mine/parallel.h"
 #include "sketch/incremental.h"
 #include "sketch/k_min_hash.h"
 #include "sketch/min_hash.h"
@@ -108,9 +109,8 @@ TEST(SentinelClampTest, KMinHashGeneratorClampsForcedSentinel) {
   ASSERT_EQ(RowHasher(config.family, config.seed).Hash(0), kMax);
 
   const BinaryMatrix m = OneRowMatrix();
-  KMinHashGenerator generator(config);
-  InMemoryRowStream stream(&m);
-  auto sketch = generator.Compute(&stream);
+  auto sketch = ComputeKMinHashParallel(
+      InMemorySource(&m), config, ExecutionConfig{}, nullptr);
   ASSERT_TRUE(sketch.ok());
   ASSERT_EQ(sketch->Signature(0).size(), 1u);
   // Clamped: the stored value is kMax - 1, never the empty sentinel.
@@ -222,9 +222,8 @@ TEST_P(BlockedKernelIdentityTest, KMinHashMatchesIncrementalBuilder) {
   config.family = GetParam();
   config.seed = 7;
 
-  KMinHashGenerator generator(config);
-  InMemoryRowStream stream(&m);
-  auto blocked = generator.Compute(&stream);
+  auto blocked = ComputeKMinHashParallel(
+      InMemorySource(&m), config, ExecutionConfig{}, nullptr);
   ASSERT_TRUE(blocked.ok());
 
   // The incremental builder hashes one row at a time through

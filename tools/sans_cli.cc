@@ -23,6 +23,7 @@
 //   sans truth --in log.sans --threshold 0.7
 
 #include <atomic>
+#include <cctype>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -31,6 +32,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "data/dataset_io.h"
@@ -50,6 +52,7 @@
 #include "mine/mh_miner.h"
 #include "mine/miner.h"
 #include "mine/mlsh_miner.h"
+#include "mine/parallel.h"
 #include "mine/pipeline_runner.h"
 #include "obs/metrics.h"
 #include "obs/run_report.h"
@@ -63,18 +66,39 @@
 namespace sans::cli {
 namespace {
 
+/// True when `synopsis` names --`key` as a whole flag.
+bool NamesFlag(std::string_view synopsis, const std::string& key) {
+  const std::string flag = "--" + key;
+  for (size_t at = synopsis.find(flag); at != std::string_view::npos;
+       at = synopsis.find(flag, at + 1)) {
+    const size_t end = at + flag.size();
+    if (end == synopsis.size() ||
+        !(std::isalnum(static_cast<unsigned char>(synopsis[end])) ||
+          synopsis[end] == '-')) {
+      return true;
+    }
+  }
+  return false;
+}
+
 /// Minimal --flag value parser; flags may appear in any order. A flag
 /// followed by another flag (or the end of the line) is boolean — so
-/// bare switches like --resume need no explicit "1".
+/// bare switches like --resume need no explicit "1". A flag the
+/// command's synopsis does not name exits 2.
 class Args {
  public:
-  Args(int argc, char** argv, int first) {
+  Args(int argc, char** argv, int first, const char* command,
+       std::string_view synopsis) {
     for (int i = first; i < argc; ++i) {
       if (std::strncmp(argv[i], "--", 2) != 0) {
         std::fprintf(stderr, "expected --flag, got '%s'\n", argv[i]);
         std::exit(2);
       }
       const std::string key(argv[i] + 2);
+      if (!NamesFlag(synopsis, key)) {
+        std::fprintf(stderr, "%s does not take --%s\n", command, key.c_str());
+        std::exit(2);
+      }
       if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
         values_.insert_or_assign(key, std::string(argv[i + 1]));
         ++i;
@@ -136,41 +160,6 @@ Result<ExecutionConfig> ParseExecution(const Args& args) {
       static_cast<int>(args.GetInt("block-rows", execution.block_rows));
   SANS_RETURN_IF_ERROR(execution.Validate());
   return execution;
-}
-
-int Usage() {
-  std::fprintf(
-      stderr,
-      "usage: sans <command> [--flag value ...]\n"
-      "commands:\n"
-      "  generate  --kind synthetic|weblog|news --out FILE [--rows N]\n"
-      "            [--cols N] [--seed S]\n"
-      "  mine      --in FILE --algorithm mh|kmh|mlsh|hlsh|auto\n"
-      "            [--threshold S] [--k K] [--r R] [--l L] [--seed S]\n"
-      "            [--threads N (default: all cores; 1 = sequential)]\n"
-      "            [--block-rows N] [--checkpoint-dir DIR] [--resume]\n"
-      "            [--max-retries N] [--max-skipped-rows N]\n"
-      "            [--run-report FILE (write a JSON run report)]\n"
-      "  rules     --in FILE [--threshold C] [--k K] [--seed S]\n"
-      "  exclusions --in FILE [--support F] [--max-lift F]\n"
-      "  truth     --in FILE [--threshold S]\n"
-      "  stats     --in FILE | <host:port> (scrape a running server's\n"
-      "            metrics in Prometheus text format)\n"
-      "  convert   --in FILE --out FILE (format by extension: .sans\n"
-      "            binary, anything else text transactions)\n"
-      "  sketch    --in FILE --out FILE [--k K] [--seed S]\n"
-      "  pairs     --sketch FILE [--threshold S]\n"
-      "  clusters  --in FILE [--threshold S] [--min-size N]\n"
-      "            [--min-cohesion F]\n"
-      "  disjunctions --in FILE [--threshold S] [--k K]\n"
-      "  index     --in FILE --out FILE [--k K]\n"
-      "            [--seed S] [--threads N] [--block-rows N]\n"
-      "  serve     --index FILE [--host H] [--port P (0 = ephemeral)]\n"
-      "            [--threads N] [--allow-reload]\n"
-      "  query     --port P [--host H] plus one of:\n"
-      "            --col C [--k K] [--min-similarity S] | --a A --b B |\n"
-      "            --stats | --ping | --reload FILE\n");
-  return 2;
 }
 
 bool IsTableFile(const std::string& path) {
@@ -567,14 +556,14 @@ int RunDisjunctions(const Args& args) {
 }
 
 int RunSketch(const Args& args) {
-  auto matrix = LoadInput(args.Require("in"));
-  if (!matrix.ok()) return Fail(matrix.status());
+  auto input = OpenInput(args.Require("in"));
+  if (!input.ok()) return Fail(input.status());
   KMinHashConfig config;
   config.k = static_cast<int>(args.GetInt("k", 100));
   config.seed = args.GetInt("seed", 0);
-  KMinHashGenerator generator(config);
-  InMemoryRowStream stream(&matrix.value());
-  auto sketch = generator.Compute(&stream);
+  // K-MH's phase 1, as `index` and `mine` run it, on one thread.
+  auto sketch = ComputeKMinHashParallel(*input->source, config,
+                                        ExecutionConfig{}, nullptr);
   if (!sketch.ok()) return Fail(sketch.status());
   const std::string out = args.Require("out");
   if (const Status s = WriteKMinHashSketch(*sketch, out); !s.ok()) {
@@ -768,6 +757,64 @@ int RunConvert(const Args& args) {
   return 0;
 }
 
+/// Each command with its runner and its synopsis. The synopsis is the
+/// one list of the flags the runner reads: Args takes exactly the
+/// --flags it names, and Usage prints it.
+struct Command {
+  const char* name;
+  int (*run)(const Args&);
+  const char* synopsis;
+};
+
+constexpr Command kCommands[] = {
+    {"generate", RunGenerate,
+     "--kind synthetic|weblog|news --out FILE [--rows N]\n"
+     "            [--cols N] [--seed S] [--bundles N (weblog)]"},
+    {"mine", RunMine,
+     "--in FILE --algorithm mh|kmh|mlsh|hlsh|auto\n"
+     "            [--threshold S] [--k K] [--delta D] [--r R] [--l L]\n"
+     "            [--seed S] [--threads N (default: all cores; 1 =\n"
+     "            sequential)] [--block-rows N] [--checkpoint-dir DIR]\n"
+     "            [--resume] [--max-retries N] [--max-skipped-rows N]\n"
+     "            [--run-report FILE (write a JSON run report)]\n"
+     "            [--sample N] [--max-fn F] [--max-fp F] (auto)"},
+    {"rules", RunRules, "--in FILE [--threshold C] [--k K] [--seed S]"},
+    {"exclusions", RunExclusions, "--in FILE [--support F] [--max-lift F]"},
+    {"truth", RunTruth, "--in FILE [--threshold S]"},
+    {"stats", RunStats,
+     "--in FILE | <host:port> (scrape a running server's\n"
+     "            metrics in Prometheus text format)"},
+    {"convert", RunConvert,
+     "--in FILE --out FILE (format by extension: .sans\n"
+     "            binary, anything else text transactions)"},
+    {"sketch", RunSketch, "--in FILE --out FILE [--k K] [--seed S]"},
+    {"pairs", RunPairsFromSketch, "--sketch FILE [--threshold S]"},
+    {"clusters", RunClusters,
+     "--in FILE [--threshold S] [--k K] [--seed S]\n"
+     "            [--min-size N] [--min-cohesion F]"},
+    {"disjunctions", RunDisjunctions,
+     "--in FILE [--threshold S] [--k K] [--seed S]"},
+    {"index", RunIndex,
+     "--in FILE --out FILE [--k K]\n"
+     "            [--seed S] [--threads N] [--block-rows N]"},
+    {"serve", RunServe,
+     "--index FILE [--host H] [--port P (0 = ephemeral)]\n"
+     "            [--threads N] [--allow-reload]"},
+    {"query", RunQuery,
+     "--port P [--host H] plus one of:\n"
+     "            --col C [--k K] [--min-similarity S] | --a A --b B |\n"
+     "            --stats | --ping | --reload FILE"},
+};
+
+int Usage() {
+  std::fprintf(stderr,
+               "usage: sans <command> [--flag value ...]\ncommands:\n");
+  for (const Command& c : kCommands) {
+    std::fprintf(stderr, "  %-9s %s\n", c.name, c.synopsis);
+  }
+  return 2;
+}
+
 int Main(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string command = argv[1];
@@ -777,21 +824,11 @@ int Main(int argc, char** argv) {
       std::strncmp(argv[2], "--", 2) != 0) {
     return RunRemoteStats(argv[2]);
   }
-  const Args args(argc, argv, 2);
-  if (command == "generate") return RunGenerate(args);
-  if (command == "mine") return RunMine(args);
-  if (command == "rules") return RunRules(args);
-  if (command == "exclusions") return RunExclusions(args);
-  if (command == "truth") return RunTruth(args);
-  if (command == "stats") return RunStats(args);
-  if (command == "convert") return RunConvert(args);
-  if (command == "sketch") return RunSketch(args);
-  if (command == "pairs") return RunPairsFromSketch(args);
-  if (command == "clusters") return RunClusters(args);
-  if (command == "disjunctions") return RunDisjunctions(args);
-  if (command == "index") return RunIndex(args);
-  if (command == "serve") return RunServe(args);
-  if (command == "query") return RunQuery(args);
+  for (const Command& c : kCommands) {
+    if (command == c.name) {
+      return c.run(Args(argc, argv, 2, c.name, c.synopsis));
+    }
+  }
   return Usage();
 }
 
