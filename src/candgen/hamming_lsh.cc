@@ -39,22 +39,29 @@ CandidateSet HammingLshCandidateGenerator::Generate(
 Result<CandidateSet> HammingLshCandidateGenerator::Generate(
     const BinaryMatrix& matrix, ThreadPool* pool,
     std::vector<HammingLshLevelStats>* stats) const {
-  Xoshiro256 pyramid_rng(Mix64(config_.seed));
-  const std::vector<BinaryMatrix> pyramid = BuildOrFoldPyramid(
-      matrix, config_.max_levels, config_.min_rows, &pyramid_rng);
+  // The pyramid is folded one level at a time: level 0 is `matrix`
+  // itself, and level L+1 is folded from level L when its first run
+  // arrives, replacing level L. So at most two levels are alive at
+  // once, and the fold draws from `fold_rng` in the same order as
+  // building the whole pyramid up front would.
+  const size_t num_levels = static_cast<size_t>(NumOrFoldLevels(
+      matrix.num_rows(), config_.max_levels, config_.min_rows));
+  Xoshiro256 fold_rng(Mix64(config_.seed));
+  BinaryMatrix folded(0, 0);
+  const BinaryMatrix* level_matrix = &matrix;
 
   const double lo = 1.0 / config_.density_band;
   const double hi =
       static_cast<double>(config_.density_band - 1) / config_.density_band;
   const ColumnId num_cols = matrix.num_cols();
   const size_t num_runs = static_cast<size_t>(config_.num_runs);
-  const size_t num_tables = pyramid.size() * num_runs;
+  const size_t num_tables = num_levels * num_runs;
 
   // Table level·num_runs + run holds the eligible columns of the level,
   // keyed by their r-bit patterns over the run's sampled rows; a pair's
   // count is the number of tables it collided in. Tables arrive in
   // order, so each level's first run sets up the level.
-  std::vector<HammingLshLevelStats> level_stats(pyramid.size());
+  std::vector<HammingLshLevelStats> level_stats(num_levels);
   std::vector<uint8_t> eligible(num_cols);
   std::vector<uint64_t> patterns(num_cols);
   Xoshiro256 run_rng(0);
@@ -62,7 +69,11 @@ Result<CandidateSet> HammingLshCandidateGenerator::Generate(
       num_cols, static_cast<uint32_t>(num_tables), 0,
       [&](uint32_t table, const auto& add) {
         const size_t level = table / num_runs;
-        const BinaryMatrix& m = pyramid[level];
+        if (level > 0 && table % num_runs == 0) {
+          folded = OrFold(*level_matrix, &fold_rng);
+          level_matrix = &folded;
+        }
+        const BinaryMatrix& m = *level_matrix;
         HammingLshLevelStats& this_level = level_stats[level];
         if (table % num_runs == 0) {
           this_level.level = static_cast<int>(level);
@@ -94,6 +105,7 @@ Result<CandidateSet> HammingLshCandidateGenerator::Generate(
           add(c, patterns[c]);
         }
       });
+  folded = BinaryMatrix(0, 0);  // the top level's runs are done
   for (size_t table = 0; table < num_tables; ++table) {
     level_stats[table / num_runs].candidate_pairs +=
         buckets.run_stats()[table].pairs;

@@ -3,8 +3,10 @@
 // similarity to Hamming distance for columns of comparable density, so
 // the scheme:
 //
-//  1. builds the OR-fold pyramid M_0, M_1, ... (densities roughly
-//     double per level);
+//  1. folds the OR-fold pyramid M_0, M_1, ... one level at a time
+//     (densities roughly double per level; M_0 is the input itself, and
+//     each level replaces the one it was folded from, so at most two
+//     are alive at once);
 //  2. at every level draws `num_runs` samples of `rows_per_run` rows;
 //  3. declares a pair a candidate if at some level both columns have
 //     density inside (1/t, (t-1)/t) and their r-bit patterns over the
@@ -65,7 +67,8 @@ struct HammingLshLevelStats {
 
 /// Runs Hamming-LSH over an in-memory matrix. The scheme needs random
 /// access to rows at every pyramid level, so unlike the min-hash
-/// schemes it takes a materialized BinaryMatrix.
+/// schemes it takes a materialized BinaryMatrix; it reads only rows and
+/// column cardinalities, never the column-major view.
 class HammingLshCandidateGenerator {
  public:
   explicit HammingLshCandidateGenerator(const HammingLshConfig& config);

@@ -1,6 +1,7 @@
 #include "matrix/binary_matrix.h"
 
 #include <algorithm>
+#include <string>
 
 namespace sans {
 
@@ -16,25 +17,14 @@ Result<BinaryMatrix> BinaryMatrix::FromRows(
   if (rows.size() != num_rows) {
     return Status::InvalidArgument("row list size does not match num_rows");
   }
-  BinaryMatrix m(num_rows, num_cols);
+  RowAppender appender(num_rows, num_cols);
   uint64_t total = 0;
   for (const auto& row : rows) total += row.size();
-  m.col_ids_.reserve(total);
+  appender.Reserve(total);
   for (RowId r = 0; r < num_rows; ++r) {
-    const auto& row = rows[r];
-    for (size_t i = 0; i < row.size(); ++i) {
-      if (row[i] >= num_cols) {
-        return Status::OutOfRange("column id exceeds num_cols");
-      }
-      if (i > 0 && row[i] <= row[i - 1]) {
-        return Status::InvalidArgument(
-            "row entries must be strictly increasing");
-      }
-      m.col_ids_.push_back(row[i]);
-      ++m.col_cardinalities_[row[i]];
-    }
-    m.row_offsets_[r + 1] = m.col_ids_.size();
+    SANS_RETURN_IF_ERROR(appender.Append(r, rows[r]));
   }
+  BinaryMatrix m = std::move(appender).Finish();
   m.EnsureColumnMajor();
   return m;
 }
@@ -117,6 +107,49 @@ double BinaryMatrix::AveragePairwiseSimilarity() const {
     }
   }
   return sum / (static_cast<double>(num_cols_) * num_cols_);
+}
+
+RowAppender::RowAppender(RowId num_rows, ColumnId num_cols)
+    : matrix_(num_rows, num_cols) {}
+
+Status RowAppender::Append(RowId row, std::span<const ColumnId> columns) {
+  if (row >= matrix_.num_rows_) {
+    return Status::OutOfRange("row id " + std::to_string(row) +
+                              " exceeds num_rows");
+  }
+  if (row < next_row_) {
+    return Status::InvalidArgument("row " + std::to_string(row) +
+                                   " does not follow the previous row");
+  }
+  for (size_t i = 0; i < columns.size(); ++i) {
+    if (columns[i] >= matrix_.num_cols_) {
+      return Status::OutOfRange("column id exceeds num_cols in row " +
+                                std::to_string(row));
+    }
+    if (i > 0 && columns[i] <= columns[i - 1]) {
+      return Status::InvalidArgument(
+          "row entries must be strictly increasing in row " +
+          std::to_string(row));
+    }
+  }
+  CloseRowsBefore(row);
+  matrix_.col_ids_.insert(matrix_.col_ids_.end(), columns.begin(),
+                          columns.end());
+  for (ColumnId c : columns) ++matrix_.col_cardinalities_[c];
+  matrix_.row_offsets_[row + 1] = matrix_.col_ids_.size();
+  next_row_ = row + 1;
+  return Status::OK();
+}
+
+void RowAppender::CloseRowsBefore(RowId row) {
+  for (; next_row_ < row; ++next_row_) {
+    matrix_.row_offsets_[next_row_ + 1] = matrix_.col_ids_.size();
+  }
+}
+
+BinaryMatrix RowAppender::Finish() && {
+  CloseRowsBefore(matrix_.num_rows_);
+  return std::move(matrix_);
 }
 
 }  // namespace sans

@@ -2,7 +2,18 @@
 // optional column-major view. The row-major layout matches the
 // paper's access pattern: every signature scheme makes a single
 // sequential pass over rows. The column-major view serves brute-force
-// ground truth, verification, and the H-LSH density machinery.
+// ground truth, exact similarities and the §6/§7 miners; column
+// cardinalities (all H-LSH needs for its density bands) are always
+// present.
+//
+// Every matrix with entries is built by one row-append path,
+// RowAppender, which writes rows in ascending order straight into the
+// CSR arrays. Which constructors also build the column-major view:
+//   - FromRows and MatrixBuilder::Build (and so the generators and
+//     LoadTransactions): yes;
+//   - ReadTableFile: yes (its callers read columns);
+//   - MaterializeStream, OrFold and RowAppender::Finish: no. Call
+//     EnsureColumnMajor before reading columns from their results.
 
 #ifndef SANS_MATRIX_BINARY_MATRIX_H_
 #define SANS_MATRIX_BINARY_MATRIX_H_
@@ -16,9 +27,10 @@
 
 namespace sans {
 
-/// Immutable sparse binary matrix. Construct via MatrixBuilder (or the
-/// FromRows factory in tests). Rows hold strictly increasing column
-/// ids; duplicate entries are impossible by construction.
+/// Immutable sparse binary matrix. Construct via RowAppender (rows in
+/// order), MatrixBuilder (unordered entries) or the FromRows factory.
+/// Rows hold strictly increasing column ids; duplicate entries are
+/// impossible by construction.
 class BinaryMatrix {
  public:
   /// Empty matrix with the given shape and no 1-entries.
@@ -26,7 +38,7 @@ class BinaryMatrix {
 
   /// Builds from explicit per-row column lists. Each row must be
   /// strictly increasing and within [0, num_cols). Used by tests and
-  /// generators; production ingest goes through MatrixBuilder.
+  /// small callers; the result has its column-major view built.
   static Result<BinaryMatrix> FromRows(
       RowId num_rows, ColumnId num_cols,
       const std::vector<std::vector<ColumnId>>& rows);
@@ -72,8 +84,8 @@ class BinaryMatrix {
   bool Get(RowId row, ColumnId col) const;
 
   /// Exact Jaccard similarity of two columns. O(|C_i| + |C_j|);
-  /// requires the column-major view (built lazily by
-  /// EnsureColumnMajor, or eagerly by MatrixBuilder).
+  /// requires the column-major view (built by EnsureColumnMajor, or
+  /// eagerly by FromRows, MatrixBuilder and ReadTableFile).
   double Similarity(ColumnId a, ColumnId b) const;
 
   /// Exact confidence Conf(a ⇒ b) = |C_a ∩ C_b| / |C_a|; 0 when C_a is
@@ -105,7 +117,7 @@ class BinaryMatrix {
   double AveragePairwiseSimilarity() const;
 
  private:
-  friend class MatrixBuilder;
+  friend class RowAppender;
 
   RowId num_rows_;
   ColumnId num_cols_;
@@ -121,6 +133,40 @@ class BinaryMatrix {
   bool column_major_built_ = false;
   std::vector<uint64_t> col_offsets_;  // size num_cols_ + 1
   std::vector<RowId> row_ids_;         // size num_ones()
+};
+
+/// Builds a BinaryMatrix from rows given in ascending row order,
+/// appending each straight to the CSR arrays and counting column
+/// cardinalities as it goes: no sort and no column-major view. Rows
+/// never appended stay empty. Sizes the row offsets from num_rows up
+/// front, so callers bound a header-declared row count first.
+/// Usage:
+///   RowAppender a(num_rows, num_cols);
+///   a.Append(row, columns); ...     // rows strictly increasing
+///   BinaryMatrix m = std::move(a).Finish();
+class RowAppender {
+ public:
+  RowAppender(RowId num_rows, ColumnId num_cols);
+
+  /// Reserves room for `num_ones` entries in total.
+  void Reserve(uint64_t num_ones) { matrix_.col_ids_.reserve(num_ones); }
+
+  /// Appends `columns` as row `row`. Returns OutOfRange for a row or
+  /// column id outside the shape and InvalidArgument for a row not
+  /// after the previous one or columns not strictly increasing; on
+  /// error nothing is appended.
+  Status Append(RowId row, std::span<const ColumnId> columns);
+
+  /// The finished matrix, without the column-major view. Consumes the
+  /// appender.
+  BinaryMatrix Finish() &&;
+
+ private:
+  /// Ends every row before `row` (rows not appended are empty).
+  void CloseRowsBefore(RowId row);
+
+  BinaryMatrix matrix_;
+  RowId next_row_ = 0;
 };
 
 }  // namespace sans

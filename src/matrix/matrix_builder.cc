@@ -28,21 +28,19 @@ Result<BinaryMatrix> MatrixBuilder::Build() && {
   entries_.erase(std::unique(entries_.begin(), entries_.end()),
                  entries_.end());
 
-  BinaryMatrix m(num_rows_, num_cols_);
-  m.col_ids_.reserve(entries_.size());
-  size_t idx = 0;
-  for (RowId r = 0; r < num_rows_; ++r) {
-    while (idx < entries_.size() &&
-           (entries_[idx] >> 32) == static_cast<uint64_t>(r)) {
-      const ColumnId c = static_cast<ColumnId>(entries_[idx] & 0xffffffffu);
-      m.col_ids_.push_back(c);
-      ++m.col_cardinalities_[c];
-      ++idx;
+  RowAppender appender(num_rows_, num_cols_);
+  appender.Reserve(entries_.size());
+  std::vector<ColumnId> row;
+  for (size_t idx = 0; idx < entries_.size();) {
+    const RowId r = static_cast<RowId>(entries_[idx] >> 32);
+    row.clear();
+    for (; idx < entries_.size() && (entries_[idx] >> 32) == r; ++idx) {
+      row.push_back(static_cast<ColumnId>(entries_[idx] & 0xffffffffu));
     }
-    m.row_offsets_[r + 1] = m.col_ids_.size();
+    SANS_RETURN_IF_ERROR(appender.Append(r, row));
   }
-  SANS_CHECK_EQ(idx, entries_.size());
   entries_.clear();
+  BinaryMatrix m = std::move(appender).Finish();
   m.EnsureColumnMajor();
   return m;
 }

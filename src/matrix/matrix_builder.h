@@ -1,6 +1,8 @@
 // Incremental construction of a BinaryMatrix from unordered
-// (row, column) observations — the ingest path for generators and
-// file loaders. Duplicates are tolerated and deduplicated.
+// (row, column) observations — the ingest path for the generators and
+// the text loader. Duplicates are tolerated and deduplicated. Rows
+// that arrive in order (table files, streams, OR-folds) go straight
+// through RowAppender instead, with no sort.
 
 #ifndef SANS_MATRIX_MATRIX_BUILDER_H_
 #define SANS_MATRIX_MATRIX_BUILDER_H_

@@ -1,8 +1,8 @@
 #include "matrix/or_fold.h"
 
 #include <algorithm>
-
-#include "matrix/matrix_builder.h"
+#include <iterator>
+#include <vector>
 
 namespace sans {
 
@@ -12,42 +12,33 @@ BinaryMatrix OrFold(const BinaryMatrix& matrix, Xoshiro256* rng) {
   for (RowId r = 0; r < n; ++r) order[r] = r;
   rng->Shuffle(&order);
 
-  const RowId out_rows = (n + 1) / 2;
-  MatrixBuilder builder(out_rows, matrix.num_cols());
+  const RowId out_rows = n / 2 + n % 2;
+  RowAppender appender(out_rows, matrix.num_cols());
+  appender.Reserve(matrix.num_ones());
   std::vector<ColumnId> merged;
   for (RowId out = 0; out < out_rows; ++out) {
     const auto a = matrix.Row(order[2 * out]);
+    if (2 * out + 1 == n) {
+      SANS_CHECK(appender.Append(out, a).ok());
+      continue;
+    }
+    const auto b = matrix.Row(order[2 * out + 1]);
     merged.clear();
-    if (2 * out + 1 < n) {
-      const auto b = matrix.Row(order[2 * out + 1]);
-      merged.resize(a.size() + b.size());
-      merged.erase(
-          std::set_union(a.begin(), a.end(), b.begin(), b.end(),
-                         merged.begin()),
-          merged.end());
-    } else {
-      merged.assign(a.begin(), a.end());
-    }
-    for (ColumnId c : merged) {
-      SANS_CHECK(builder.Set(out, c).ok());
-    }
+    std::set_union(a.begin(), a.end(), b.begin(), b.end(),
+                   std::back_inserter(merged));
+    SANS_CHECK(appender.Append(out, merged).ok());
   }
-  Result<BinaryMatrix> result = std::move(builder).Build();
-  SANS_CHECK(result.ok());
-  return std::move(result).value();
+  return std::move(appender).Finish();
 }
 
-std::vector<BinaryMatrix> BuildOrFoldPyramid(const BinaryMatrix& matrix,
-                                             int max_levels, RowId min_rows,
-                                             Xoshiro256* rng) {
+int NumOrFoldLevels(RowId num_rows, int max_levels, RowId min_rows) {
   SANS_CHECK_GE(max_levels, 1);
-  std::vector<BinaryMatrix> pyramid;
-  pyramid.push_back(matrix);
-  while (static_cast<int>(pyramid.size()) < max_levels &&
-         pyramid.back().num_rows() > min_rows) {
-    pyramid.push_back(OrFold(pyramid.back(), rng));
+  int levels = 1;
+  for (RowId rows = num_rows; levels < max_levels && rows > min_rows;
+       ++levels) {
+    rows = rows / 2 + rows % 2;
   }
-  return pyramid;
+  return levels;
 }
 
 }  // namespace sans

@@ -111,7 +111,12 @@ class InMemorySource final : public RowStreamSource {
 
 /// Drains a stream back into a BinaryMatrix (H-LSH's phase 1 and a
 /// round-trip helper). Runs on the counted block loop of
-/// matrix/block_reader.h, so it counts as one table scan.
+/// matrix/block_reader.h, so it counts as one table scan. Rows append
+/// in scan order through RowAppender: no sort, and no column-major
+/// view (call EnsureColumnMajor to read columns). A row id the stream
+/// skips (a row a ResilientRowStream dropped) stays an empty row. A
+/// row out of order or out of range, or with column ids not strictly
+/// increasing or out of range, fails the call with kCorruption.
 Result<BinaryMatrix> MaterializeStream(RowStream* stream);
 
 }  // namespace sans

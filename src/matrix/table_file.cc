@@ -1,9 +1,11 @@
 #include "matrix/table_file.h"
 
+#include <algorithm>
 #include <cstring>
+#include <filesystem>
 #include <string>
+#include <system_error>
 
-#include "matrix/matrix_builder.h"
 #include "util/crc32c.h"
 
 namespace sans {
@@ -96,6 +98,22 @@ Result<std::unique_ptr<TableFileReader>> TableFileReader::Open(
     if (header[1] < kTableFileMinVersion || header[1] > kTableFileVersion) {
       return Status::Corruption("unsupported table file version " +
                                 std::to_string(header[1]) + " in " + path);
+    }
+    // Every row takes at least its u32 count, so the row count is
+    // bounded by the bytes after the header (less the v2 trailer)
+    // before any caller sizes per-row state from it. The column count
+    // has no such bound: empty columns take no bytes.
+    std::error_code error;
+    const uint64_t file_size = std::filesystem::file_size(path, error);
+    if (error) return Status::IOError("cannot stat: " + path);
+    const uint64_t trailer = header[1] >= 2 ? sizeof(uint32_t) : 0;
+    const uint64_t body = file_size - std::min<uint64_t>(
+                                          file_size, sizeof(header) + trailer);
+    if (header[2] > body / sizeof(uint32_t)) {
+      return Status::Corruption(
+          "table header declares " + std::to_string(header[2]) +
+          " rows, more than the " + std::to_string(body) +
+          " bytes after it hold, in " + path);
     }
     return Status::OK();
   };
@@ -208,15 +226,15 @@ Result<std::unique_ptr<RowStream>> TableFileSource::Open() const {
 Result<BinaryMatrix> ReadTableFile(const std::string& path) {
   SANS_ASSIGN_OR_RETURN(std::unique_ptr<TableFileReader> reader,
                         TableFileReader::Open(path));
-  MatrixBuilder builder(reader->num_rows(), reader->num_cols());
+  RowAppender appender(reader->num_rows(), reader->num_cols());
   RowView view;
   while (reader->Next(&view)) {
-    SANS_RETURN_IF_ERROR(builder.SetRow(
-        view.row, std::vector<ColumnId>(view.columns.begin(),
-                                        view.columns.end())));
+    SANS_RETURN_IF_ERROR(appender.Append(view.row, view.columns));
   }
   SANS_RETURN_IF_ERROR(reader->stream_status());
-  return std::move(builder).Build();
+  BinaryMatrix matrix = std::move(appender).Finish();
+  matrix.EnsureColumnMajor();
+  return matrix;
 }
 
 }  // namespace sans

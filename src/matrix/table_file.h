@@ -45,7 +45,9 @@ Status WriteTableFile(const BinaryMatrix& matrix, const std::string& path);
 /// back to the first row for the verification re-scan.
 class TableFileReader final : public RowStream {
  public:
-  /// Opens `path`, validating the header.
+  /// Opens `path`, validating the header: kCorruption for a bad magic
+  /// or version, or for a row count that the bytes after the header
+  /// (less the v2 trailer) cannot hold at 4 bytes per row.
   static Result<std::unique_ptr<TableFileReader>> Open(
       const std::string& path);
 
@@ -116,7 +118,8 @@ class TableFileSource final : public RowStreamSource {
   ColumnId num_cols_;
 };
 
-/// Loads an entire table file into memory.
+/// Loads an entire table file into memory, rows appended in file
+/// order, with the column-major view built.
 Result<BinaryMatrix> ReadTableFile(const std::string& path);
 
 }  // namespace sans

@@ -42,11 +42,12 @@ class HlshMiner final : public Miner {
 
   /// Phase 1: the table materialized in memory (H-LSH works on the
   /// data itself, not on a sketch), from one scan on the calling
-  /// thread.
+  /// thread. Rows and column cardinalities only: no column-major view.
   Result<BinaryMatrix> Sketch(const RowStreamSource& source,
                               ThreadPool* pool) const;
 
-  /// Phase 2: pyramid + density-banded bucketing, probed on `pool`;
+  /// Phase 2: the pyramid, folded one level at a time, +
+  /// density-banded bucketing, probed on `pool`;
   /// records the per-level statistics. The threshold is not consulted.
   Result<CandidateSet> Candidates(const BinaryMatrix& matrix,
                                   double threshold, ThreadPool* pool);

@@ -206,9 +206,13 @@ TEST(HammingLshTest, MatchesBruteForceRunCollisionsAtEveryPool) {
   config.num_runs = 5;
   config.min_rows = 16;
   config.seed = 23;
-  Xoshiro256 pyramid_rng(Mix64(config.seed));
-  const std::vector<BinaryMatrix> pyramid = BuildOrFoldPyramid(
-      matrix, config.max_levels, config.min_rows, &pyramid_rng);
+  // The pyramid, folded level by level from the fold seed until the
+  // level has at most min_rows rows.
+  Xoshiro256 fold_rng(Mix64(config.seed));
+  std::vector<BinaryMatrix> pyramid = {matrix};
+  while (pyramid.back().num_rows() > config.min_rows) {
+    pyramid.push_back(OrFold(pyramid.back(), &fold_rng));
+  }
   std::map<ColumnPair, uint64_t> counts;
   std::vector<uint64_t> level_pairs(pyramid.size(), 0);
   for (size_t level = 0; level < pyramid.size(); ++level) {
@@ -242,7 +246,15 @@ TEST(HammingLshTest, MatchesBruteForceRunCollisionsAtEveryPool) {
   }
   const std::vector<std::pair<ColumnPair, uint64_t>> expected(counts.begin(),
                                                               counts.end());
-  ASSERT_FALSE(expected.empty());
+  // Pinned: the candidate set and the per-level shape of this table.
+  ASSERT_EQ(expected.size(), 201u);
+  const std::vector<HammingLshLevelStats> expected_levels = {
+      {0, 512, 8, 5},   {1, 256, 42, 88}, {2, 128, 53, 134},
+      {3, 64, 19, 16},  {4, 32, 9, 1},    {5, 16, 2, 0}};
+  ASSERT_EQ(pyramid.size(), expected_levels.size());
+  for (size_t level = 0; level < pyramid.size(); ++level) {
+    EXPECT_EQ(level_pairs[level], expected_levels[level].candidate_pairs);
+  }
 
   const HammingLshCandidateGenerator generator(config);
   EXPECT_EQ(generator.Generate(matrix).SortedEntries(), expected);
@@ -252,9 +264,14 @@ TEST(HammingLshTest, MatchesBruteForceRunCollisionsAtEveryPool) {
     auto pooled = generator.Generate(matrix, &pool, &stats);
     ASSERT_TRUE(pooled.ok());
     EXPECT_EQ(pooled->SortedEntries(), expected) << "threads=" << threads;
-    ASSERT_EQ(stats.size(), pyramid.size());
+    ASSERT_EQ(stats.size(), expected_levels.size());
     for (size_t level = 0; level < stats.size(); ++level) {
-      EXPECT_EQ(stats[level].candidate_pairs, level_pairs[level])
+      const HammingLshLevelStats& want = expected_levels[level];
+      EXPECT_EQ(stats[level].level, want.level);
+      EXPECT_EQ(stats[level].rows, want.rows) << "level=" << level;
+      EXPECT_EQ(stats[level].eligible_columns, want.eligible_columns)
+          << "level=" << level;
+      EXPECT_EQ(stats[level].candidate_pairs, want.candidate_pairs)
           << "level=" << level;
     }
   }

@@ -76,36 +76,77 @@ TEST(OrFoldTest, DensityGrowsTowardOne) {
   EXPECT_GT(prev_density, 0.3);  // five folds of ~7% density
 }
 
-TEST(BuildOrFoldPyramidTest, StopsAtMinRows) {
-  auto m = BinaryMatrix::FromRows(64, 1,
-                                  std::vector<std::vector<ColumnId>>(
-                                      64, std::vector<ColumnId>{0}));
-  ASSERT_TRUE(m.ok());
-  Xoshiro256 rng(5);
-  const auto pyramid = BuildOrFoldPyramid(*m, 100, 8, &rng);
+TEST(NumOrFoldLevelsTest, StopsAtMinRowsOrMaxLevels) {
   // 64 -> 32 -> 16 -> 8 (stop: not > 8).
-  ASSERT_EQ(pyramid.size(), 4u);
-  EXPECT_EQ(pyramid[0].num_rows(), 64u);
-  EXPECT_EQ(pyramid[3].num_rows(), 8u);
+  EXPECT_EQ(NumOrFoldLevels(64, 100, 8), 4);
+  // The cap wins over the row count.
+  EXPECT_EQ(NumOrFoldLevels(64, 2, 1), 2);
+  EXPECT_EQ(NumOrFoldLevels(64, 1, 1), 1);
+  // Odd counts round up: 9 -> 5 -> 3 -> 2 -> 1.
+  EXPECT_EQ(NumOrFoldLevels(9, 100, 1), 5);
+  // A one-row level folds to itself, so min_rows 0 runs to the cap.
+  EXPECT_EQ(NumOrFoldLevels(9, 100, 0), 100);
+  // A matrix already at or below min_rows is level 0 alone.
+  EXPECT_EQ(NumOrFoldLevels(8, 100, 8), 1);
+  EXPECT_EQ(NumOrFoldLevels(0, 100, 0), 1);
+  // The last representable row count halves without overflow.
+  EXPECT_EQ(NumOrFoldLevels(0xffffffffu, 100, 1), 33);
+
+  // It agrees with folding until the same stop rule holds.
+  auto m = BinaryMatrix::FromRows(
+      37, 2, std::vector<std::vector<ColumnId>>(37, std::vector<ColumnId>{1}));
+  ASSERT_TRUE(m.ok());
+  for (const RowId min_rows : {RowId{0}, RowId{1}, RowId{4}, RowId{10}, RowId{40}}) {
+    for (const int max_levels : {1, 2, 3, 32}) {
+      Xoshiro256 rng(5);
+      BinaryMatrix level = *m;
+      int levels = 1;
+      while (levels < max_levels && level.num_rows() > min_rows) {
+        level = OrFold(level, &rng);
+        ++levels;
+      }
+      EXPECT_EQ(NumOrFoldLevels(37, max_levels, min_rows), levels)
+          << "min_rows=" << min_rows << " max_levels=" << max_levels;
+    }
+  }
 }
 
-TEST(BuildOrFoldPyramidTest, RespectsMaxLevels) {
-  auto m = BinaryMatrix::FromRows(64, 1,
-                                  std::vector<std::vector<ColumnId>>(
-                                      64, std::vector<ColumnId>{0}));
+TEST(OrFoldTest, PinnedRowsAndCardinalities) {
+  // Nine rows (odd, three of them empty), folded twice from one seed:
+  // the rows and cardinalities are pinned, so the pairing the
+  // shuffle draws and the unions built from it cannot drift.
+  auto m = BinaryMatrix::FromRows(9, 7,
+                                  {{0, 3}, {}, {1, 2, 6}, {4}, {}, {0, 5, 6},
+                                   {2, 3}, {}, {1, 4, 5}});
   ASSERT_TRUE(m.ok());
-  Xoshiro256 rng(6);
-  const auto pyramid = BuildOrFoldPyramid(*m, 2, 1, &rng);
-  ASSERT_EQ(pyramid.size(), 2u);
-  EXPECT_EQ(pyramid[1].num_rows(), 32u);
-}
+  Xoshiro256 rng(11);
+  const auto rows_of = [](const BinaryMatrix& matrix) {
+    std::vector<std::vector<ColumnId>> rows;
+    for (RowId r = 0; r < matrix.num_rows(); ++r) {
+      rows.emplace_back(matrix.Row(r).begin(), matrix.Row(r).end());
+    }
+    return rows;
+  };
+  const auto cards_of = [](const BinaryMatrix& matrix) {
+    std::vector<uint64_t> cards;
+    for (ColumnId c = 0; c < matrix.num_cols(); ++c) {
+      cards.push_back(matrix.ColumnCardinality(c));
+    }
+    return cards;
+  };
 
-TEST(BuildOrFoldPyramidTest, LevelZeroIsInput) {
-  auto m = BinaryMatrix::FromRows(4, 2, {{0}, {1}, {0, 1}, {}});
-  ASSERT_TRUE(m.ok());
-  Xoshiro256 rng(7);
-  const auto pyramid = BuildOrFoldPyramid(*m, 3, 1, &rng);
-  EXPECT_EQ(pyramid[0].num_ones(), m->num_ones());
+  const BinaryMatrix first = OrFold(*m, &rng);
+  EXPECT_EQ(rows_of(first), (std::vector<std::vector<ColumnId>>{
+                                {0, 5, 6}, {2, 3, 4}, {1, 4, 5}, {0, 3},
+                                {1, 2, 6}}));
+  EXPECT_EQ(cards_of(first), (std::vector<uint64_t>{2, 2, 2, 2, 2, 2, 2}));
+  EXPECT_FALSE(first.has_column_major());
+
+  const BinaryMatrix second = OrFold(first, &rng);
+  EXPECT_EQ(rows_of(second), (std::vector<std::vector<ColumnId>>{
+                                 {1, 2, 3, 4, 5}, {0, 1, 2, 5, 6}, {0, 3}}));
+  EXPECT_EQ(cards_of(second), (std::vector<uint64_t>{2, 2, 2, 2, 1, 2, 1}));
+  EXPECT_EQ(second.num_ones(), 12u);
 }
 
 TEST(OrFoldTest, UnionOfOnesIsInvariant) {

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "matrix/resilient_row_stream.h"
+
 namespace sans {
 namespace {
 
@@ -90,6 +96,128 @@ TEST(MaterializeStreamTest, WorksOnPartiallyConsumedStream) {
   auto copy = MaterializeStream(&stream);  // resets internally
   ASSERT_TRUE(copy.ok());
   EXPECT_EQ(copy->num_ones(), m.num_ones());
+}
+
+/// A stream that yields scripted (row id, columns) pairs as given, so a
+/// test can break the stream contract. A row listed in `bad_rows` is a
+/// resumable read error: Next() fails with kCorruption positioned past
+/// it, as a table file does on a corrupt payload.
+class ScriptedStream final : public RowStream {
+ public:
+  using ScriptedRow = std::pair<RowId, std::vector<ColumnId>>;
+
+  ScriptedStream(RowId num_rows, ColumnId num_cols,
+                 std::vector<ScriptedRow> rows, std::vector<RowId> bad_rows)
+      : num_rows_(num_rows),
+        num_cols_(num_cols),
+        rows_(std::move(rows)),
+        bad_rows_(std::move(bad_rows)) {}
+
+  RowId num_rows() const override { return num_rows_; }
+  ColumnId num_cols() const override { return num_cols_; }
+
+  bool Next(RowView* out) override {
+    status_ = Status::OK();
+    if (next_ >= rows_.size()) return false;
+    const ScriptedRow& row = rows_[next_++];
+    for (RowId bad : bad_rows_) {
+      if (bad == row.first) {
+        status_ = Status::Corruption("unreadable row " +
+                                     std::to_string(row.first));
+        return false;
+      }
+    }
+    out->row = row.first;
+    out->columns = row.second;
+    return true;
+  }
+  Status stream_status() const override { return status_; }
+  Status Reset() override {
+    next_ = 0;
+    status_ = Status::OK();
+    return Status::OK();
+  }
+
+ private:
+  RowId num_rows_;
+  ColumnId num_cols_;
+  std::vector<ScriptedRow> rows_;
+  std::vector<RowId> bad_rows_;
+  size_t next_ = 0;
+  Status status_;
+};
+
+TEST(MaterializeStreamTest, ContractBreakingRowsAreCorruption) {
+  struct Case {
+    const char* what;
+    std::vector<ScriptedStream::ScriptedRow> rows;
+  };
+  const std::vector<Case> cases = {
+      {"unsorted columns", {{0, {0, 2}}, {1, {3, 1}}}},
+      {"duplicate column", {{0, {2, 2}}}},
+      {"column out of range", {{0, {1, 4}}}},
+      {"row out of range", {{0, {1}}, {3, {2}}}},
+      {"row out of order", {{1, {1}}, {0, {2}}}},
+      {"row repeated", {{1, {1}}, {1, {2}}}},
+  };
+  for (const Case& c : cases) {
+    ScriptedStream stream(3, 4, c.rows, {});
+    const auto m = MaterializeStream(&stream);
+    ASSERT_FALSE(m.ok()) << c.what;
+    EXPECT_EQ(m.status().code(), StatusCode::kCorruption) << c.what;
+  }
+}
+
+TEST(MaterializeStreamTest, BuildsNoColumnMajorView) {
+  const BinaryMatrix m = SmallMatrix();
+  InMemoryRowStream stream(&m);
+  auto copy = MaterializeStream(&stream);
+  ASSERT_TRUE(copy.ok());
+  EXPECT_FALSE(copy->has_column_major());
+  EXPECT_EQ(copy->ColumnCardinality(2), 2u);
+  copy->EnsureColumnMajor();
+  EXPECT_EQ(copy->IntersectionSize(0, 2), 1u);
+}
+
+TEST(MaterializeStreamTest, RowSkippedInDegradedModeStaysEmpty) {
+  // Row 2 is unreadable; degraded mode drops it, and the materialized
+  // table keeps every other row under its own id.
+  class Source final : public RowStreamSource {
+   public:
+    RowId num_rows() const override { return 5; }
+    ColumnId num_cols() const override { return 4; }
+    Result<std::unique_ptr<RowStream>> Open() const override {
+      return std::unique_ptr<RowStream>(std::make_unique<ScriptedStream>(
+          5, 4,
+          std::vector<ScriptedStream::ScriptedRow>{
+              {0, {0, 3}}, {1, {}}, {2, {1, 2}}, {3, {2}}, {4, {0, 1, 3}}},
+          std::vector<RowId>{2}));
+    }
+  } inner;
+  ResilienceOptions options;
+  options.retry.max_attempts = 1;
+  options.retry.base_backoff_ms = 0.0;
+  options.retry.max_backoff_ms = 0.0;
+  options.degraded_mode = true;
+  options.max_skipped_rows = 1;
+  ResilienceStats stats;
+  ResilientSource source(&inner, options, &stats);
+  auto stream = source.Open();
+  ASSERT_TRUE(stream.ok());
+
+  auto m = MaterializeStream(stream->get());
+  ASSERT_TRUE(m.ok()) << m.status().ToString();
+  EXPECT_EQ(stats.rows_skipped.load(), 1u);
+  ASSERT_EQ(m->num_rows(), 5u);
+  const std::vector<std::vector<ColumnId>> expected = {
+      {0, 3}, {}, {}, {2}, {0, 1, 3}};
+  for (RowId r = 0; r < 5; ++r) {
+    EXPECT_EQ(std::vector<ColumnId>(m->Row(r).begin(), m->Row(r).end()),
+              expected[r])
+        << "row " << r;
+  }
+  EXPECT_EQ(m->ColumnCardinality(1), 1u);
+  EXPECT_EQ(m->ColumnCardinality(2), 1u);
 }
 
 }  // namespace

@@ -130,6 +130,47 @@ TEST_F(TableFileTest, BadMagicIsCorruption) {
   EXPECT_EQ(reader.status().code(), StatusCode::kCorruption);
 }
 
+void OverwriteByte(const std::string& path, long offset, char value) {
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  ASSERT_TRUE(f.good());
+  f.seekp(offset);
+  f.write(&value, 1);
+}
+
+TEST_F(TableFileTest, RowCountBeyondFileSizeIsCorruption) {
+  // A forged 16-byte header: magic, version 2, 0xF0000000 rows and
+  // columns, and no body. Open must reject it before any caller sizes
+  // per-row state from the row count.
+  const std::string path = Path("inflated.sans");
+  {
+    std::ofstream out(path, std::ios::binary);
+    out.write("SANS\x02\x00\x00\x00\x00\x00\x00\xf0\x00\x00\x00\xf0",
+              16);
+  }
+  ASSERT_EQ(std::filesystem::file_size(path), 16u);
+  auto reader = TableFileReader::Open(path);
+  ASSERT_FALSE(reader.ok());
+  EXPECT_EQ(reader.status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(ReadTableFile(path).status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(TableFileSource::Create(path).status().code(),
+            StatusCode::kCorruption);
+
+  // The bound is exact: four rows need 16 bytes after the header, plus
+  // the 4-byte trailer in v2, and none in v1.
+  const std::string exact = Path("exact.sans");
+  ASSERT_TRUE(WriteTableFile(BinaryMatrix(4, 1), exact).ok());
+  ASSERT_EQ(std::filesystem::file_size(exact), 16u + 16u + 4u);
+  EXPECT_TRUE(ReadTableFile(exact).ok());
+  std::filesystem::resize_file(exact, 16 + 16 + 3);
+  EXPECT_EQ(TableFileReader::Open(exact).status().code(),
+            StatusCode::kCorruption);
+  OverwriteByte(exact, 4, 1);  // v1: no trailer, 19 body bytes hold 4 rows
+  EXPECT_TRUE(TableFileReader::Open(exact).ok());
+  std::filesystem::resize_file(exact, 16 + 15);
+  EXPECT_EQ(TableFileReader::Open(exact).status().code(),
+            StatusCode::kCorruption);
+}
+
 TEST_F(TableFileTest, TruncatedFileIsDetected) {
   const BinaryMatrix m = SmallMatrix();
   const std::string path = Path("trunc.sans");
@@ -146,13 +187,6 @@ TEST_F(TableFileTest, TruncatedFileIsDetected) {
   EXPECT_FALSE(reader.value()->stream_status().ok());
   EXPECT_EQ(reader.value()->stream_status().code(),
             StatusCode::kCorruption);
-}
-
-void OverwriteByte(const std::string& path, long offset, char value) {
-  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-  ASSERT_TRUE(f.good());
-  f.seekp(offset);
-  f.write(&value, 1);
 }
 
 // Layout of SmallMatrix() on disk: 16-byte header, then
