@@ -76,12 +76,38 @@ TEST(OrFoldTest, DensityGrowsTowardOne) {
   EXPECT_GT(prev_density, 0.3);  // five folds of ~7% density
 }
 
-TEST(NumOrFoldLevelsTest, StopsAtMinRowsOrMaxLevels) {
+TEST(BuildOrFoldPyramidTest, StopsAtMinRows) {
   // 64 -> 32 -> 16 -> 8 (stop: not > 8).
   EXPECT_EQ(NumOrFoldLevels(64, 100, 8), 4);
+  auto m = BinaryMatrix::FromRows(64, 1,
+                                  std::vector<std::vector<ColumnId>>(
+                                      64, std::vector<ColumnId>{0}));
+  ASSERT_TRUE(m.ok());
+  Xoshiro256 rng(5);
+  BinaryMatrix level = *m;
+  for (int i = 1; i < NumOrFoldLevels(64, 100, 8); ++i) {
+    level = OrFold(level, &rng);
+  }
+  EXPECT_EQ(level.num_rows(), 8u);
+}
+
+TEST(BuildOrFoldPyramidTest, RespectsMaxLevels) {
   // The cap wins over the row count.
   EXPECT_EQ(NumOrFoldLevels(64, 2, 1), 2);
   EXPECT_EQ(NumOrFoldLevels(64, 1, 1), 1);
+  auto m = BinaryMatrix::FromRows(64, 1,
+                                  std::vector<std::vector<ColumnId>>(
+                                      64, std::vector<ColumnId>{0}));
+  ASSERT_TRUE(m.ok());
+  Xoshiro256 rng(6);
+  BinaryMatrix level = *m;
+  for (int i = 1; i < NumOrFoldLevels(64, 2, 1); ++i) {
+    level = OrFold(level, &rng);
+  }
+  EXPECT_EQ(level.num_rows(), 32u);
+}
+
+TEST(NumOrFoldLevelsTest, StopsAtMinRowsOrMaxLevels) {
   // Odd counts round up: 9 -> 5 -> 3 -> 2 -> 1.
   EXPECT_EQ(NumOrFoldLevels(9, 100, 1), 5);
   // A one-row level folds to itself, so min_rows 0 runs to the cap.
