@@ -5,44 +5,20 @@
 #include <mutex>
 
 #include "obs/metrics.h"
+#include "util/radix_sort.h"
 
 namespace sans {
 
-// Stable LSD radix sort of one table's keys by value, 11 bits per
-// pass. One sweep counts every pass's digits; passes on which all keys
-// agree are skipped. Keys arrive in column order, so stability keeps
-// each run's columns ascending.
+// Keys arrive in column order, so the stable sort by value
+// (util/radix_sort.h) keeps each run's columns ascending.
 void FlatBuckets::AddTable(uint32_t table, std::vector<Key>* keys,
                            std::vector<std::pair<ColumnId, uint32_t>>* slots) {
-  constexpr int kBits = 11;
-  constexpr int kPasses = 6;
-  constexpr size_t kBuckets = size_t{1} << kBits;
-  const auto digit = [](const Key& key, int pass) {
-    return static_cast<size_t>(key.value >> (kBits * pass)) & (kBuckets - 1);
-  };
-  std::vector<size_t> offsets(kPasses * kBuckets, 0);
-  for (const Key& key : *keys) {
-    for (int pass = 0; pass < kPasses; ++pass) {
-      ++offsets[pass * kBuckets + digit(key, pass)];
-    }
-  }
   {
     // Released before the table's runs are appended, which bounds the
     // build's peak for a single large table (K-MH).
-    std::vector<Key> buffer(keys->size());
-    for (int pass = 0; pass < kPasses; ++pass) {
-      size_t* const begin = offsets.data() + pass * kBuckets;
-      if (std::find(begin, begin + kBuckets, keys->size()) !=
-          begin + kBuckets) {
-        continue;
-      }
-      size_t next = 0;
-      for (size_t d = 0; d < kBuckets; ++d) {
-        next += std::exchange(begin[d], next);
-      }
-      for (const Key& key : *keys) buffer[begin[digit(key, pass)]++] = key;
-      keys->swap(buffer);
-    }
+    std::vector<Key> buffer;
+    StableRadixSort(
+        64, [](const Key& key) { return key.value; }, keys, &buffer);
   }
 
   SANS_CHECK_LT(cols_.size() + keys->size(), uint64_t{1} << 32);

@@ -15,17 +15,14 @@ Result<SignatureMatrix> ComputeMinHashParallel(
   SANS_RETURN_IF_ERROR(config.Validate());
   SANS_RETURN_IF_ERROR(execution.Validate());
   const int workers = BlockWorkers(execution, pool);
-  const ColumnId m = source.num_cols();
-  std::vector<SignatureMatrix> partials(
-      workers, SignatureMatrix(config.num_hashes, m));
   // The bank is read-only after construction and shared across
-  // workers; each worker owns a blocked kernel bound to its partial
-  // matrix (the kernel's hash scratch is the per-worker state).
+  // workers; each worker owns a blocked kernel holding its partial
+  // minima.
   HashFunctionBank bank(config.family, config.num_hashes, config.seed);
   std::vector<MinHashBlockKernel> kernels;
   kernels.reserve(workers);
   for (int w = 0; w < workers; ++w) {
-    kernels.emplace_back(&bank, &partials[w]);
+    kernels.emplace_back(&bank, source.num_cols());
   }
 
   SANS_RETURN_IF_ERROR(ForEachRowBlock(
@@ -34,19 +31,7 @@ Result<SignatureMatrix> ComputeMinHashParallel(
         kernels[worker].Process(block);
         return Status::OK();
       }));
-
-  // Element-wise min merge in worker-id order (min is commutative and
-  // associative, so any order gives the same matrix; a fixed order
-  // keeps the procedure auditable).
-  SignatureMatrix& merged = partials[0];
-  for (int w = 1; w < workers; ++w) {
-    for (int l = 0; l < config.num_hashes; ++l) {
-      for (ColumnId c = 0; c < m; ++c) {
-        merged.MinUpdate(l, c, partials[w].Value(l, c));
-      }
-    }
-  }
-  return std::move(merged);
+  return MinHashBlockKernel::Finish(std::move(kernels));
 }
 
 Result<KMinHashSketch> ComputeKMinHashParallel(

@@ -34,15 +34,15 @@ MinHashGenerator::MinHashGenerator(const MinHashConfig& config)
 Result<SignatureMatrix> MinHashGenerator::Compute(
     RowStream* rows, std::vector<uint64_t>* cardinalities) const {
   SANS_RETURN_IF_ERROR(rows->Reset());
-  SignatureMatrix signatures(config_.num_hashes, rows->num_cols());
   if (cardinalities != nullptr) {
     cardinalities->assign(rows->num_cols(), 0);
   }
-  // The blocked kernel batch-hashes each block's row ids under all k
-  // functions and applies the clamp and the transposed min-update (see
-  // sketch_kernels.h); ComputeMinHashParallel runs the same kernel per
-  // worker.
-  MinHashBlockKernel kernel(&bank_, &signatures);
+  // The blocked kernel batch-hashes each flush's row ids under all k
+  // functions and applies the clamp and the column-ordered min-update
+  // (see sketch_kernels.h); ComputeMinHashParallel runs the same
+  // kernel per worker and the same Finish.
+  std::vector<MinHashBlockKernel> kernel;
+  kernel.emplace_back(&bank_, rows->num_cols());
   SANS_RETURN_IF_ERROR(ForEachStreamBlock(
       rows, [&](int, const RowBlock& block) -> Status {
         if (cardinalities != nullptr) {
@@ -50,10 +50,10 @@ Result<SignatureMatrix> MinHashGenerator::Compute(
             for (ColumnId c : block.columns(i)) ++(*cardinalities)[c];
           }
         }
-        kernel.Process(block);
+        kernel[0].Process(block);
         return Status::OK();
       }));
-  return signatures;
+  return MinHashBlockKernel::Finish(std::move(kernel));
 }
 
 }  // namespace sans

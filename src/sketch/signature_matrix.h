@@ -31,6 +31,12 @@ class SignatureMatrix {
   /// All entries initialized to kEmptyMinHash.
   SignatureMatrix(int num_hashes, ColumnId num_cols);
 
+  /// Takes `values` as the entries in storage order,
+  /// values[hash_index * num_cols + col] = M̂[hash_index][col]; its
+  /// size must be num_hashes * num_cols.
+  SignatureMatrix(int num_hashes, ColumnId num_cols,
+                  std::vector<uint64_t> values);
+
   SignatureMatrix(const SignatureMatrix&) = default;
   SignatureMatrix& operator=(const SignatureMatrix&) = default;
   SignatureMatrix(SignatureMatrix&&) = default;
@@ -58,16 +64,6 @@ class SignatureMatrix {
 
   /// One hash function's values across all columns (contiguous).
   std::span<const uint64_t> HashRow(int hash_index) const {
-    return {values_.data() + static_cast<size_t>(hash_index) * num_cols_,
-            num_cols_};
-  }
-
-  /// Mutable view of one hash function's values — the blocked update
-  /// kernels' escape hatch from per-entry bounds checks: the row index
-  /// is checked once here, column offsets are the caller's contract.
-  std::span<uint64_t> MutableHashRow(int hash_index) {
-    SANS_CHECK_GE(hash_index, 0);
-    SANS_CHECK_LT(hash_index, num_hashes_);
     return {values_.data() + static_cast<size_t>(hash_index) * num_cols_,
             num_cols_};
   }

@@ -1,6 +1,7 @@
 #include "sketch/sketch_io.h"
 
 #include <climits>
+#include <utility>
 #include <vector>
 
 namespace sans {
@@ -30,13 +31,11 @@ Result<SignatureMatrix> ReadSignatureMatrix(const std::string& path) {
     return Status::Corruption("signature file hash count out of range");
   }
   SANS_RETURN_IF_ERROR(in.CheckCount(uint64_t{k} * m, sizeof(uint64_t)));
-  SignatureMatrix signatures(static_cast<int>(k), m);
-  for (int l = 0; m > 0 && l < signatures.num_hashes(); ++l) {
-    const auto row = signatures.MutableHashRow(l);
-    SANS_RETURN_IF_ERROR(in.Read(row.data(), row.size() * sizeof(uint64_t)));
-  }
+  std::vector<uint64_t> values(uint64_t{k} * m);
+  SANS_RETURN_IF_ERROR(
+      in.Read(values.data(), values.size() * sizeof(uint64_t)));
   SANS_RETURN_IF_ERROR(in.Finish());
-  return signatures;
+  return SignatureMatrix(static_cast<int>(k), m, std::move(values));
 }
 
 Status WriteSketchColumns(const KMinHashSketch& sketch, ArtifactWriter* out) {

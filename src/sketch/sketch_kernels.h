@@ -6,17 +6,28 @@
 // be missed by a new call site.
 //
 // The Min-Hash kernel also fixes the memory-access pattern of the
-// signature update. The naive loop (for each row: for each column:
-// for each hash l: MinUpdate(l, c)) strides num_cols * 8 bytes
-// between consecutive l, touching k distant cache lines per 1-entry.
-// MinHashBlockKernel buffers a block of rows, evaluates all k
-// functions over the block's row ids in flat batched loops
-// (HashFunctionBank::HashAllBatch, hash-major layout), then runs the
-// update transposed — hash function outermost — so each step of the
-// inner loops reads one contiguous hash lane and writes into a single
-// signature row. Min is commutative and associative, so the reordered
-// updates produce a byte-identical SignatureMatrix for a fixed seed,
-// regardless of block size (asserted by sketch_kernels_test).
+// signature update, which is the only phase-1 work paid k times per
+// 1-entry. A naive hash-major loop (for each 1-entry (r, c): for each
+// hash l: lower M̂[l][c]) strides num_cols * 8 bytes between
+// consecutive l and touches k distant cache lines per entry.
+// MinHashBlockKernel instead keeps its minima column-major — column
+// c's k minima are the contiguous span [c * k, c * k + k) — and
+// buffers up to kSketchBlockRows non-empty rows. A flush
+//   1. evaluates all k functions over the buffered row ids in flat
+//      batched loops (HashFunctionBank::HashAllBatch, hash-major);
+//   2. clamps and transposes them to row-major in one pass, so one
+//      row's k hashes are contiguous;
+//   3. radix-sorts the buffered (column, row) entries by column
+//      (util/radix_sort.h) and applies each as one k-wide min between
+//      the row's hash span and the column's minima span, so every
+//      touched column's minima are loaded once per flush, in column
+//      order.
+// Per-worker kernels are merged element-wise in worker-id order and
+// transposed once into the hash-major SignatureMatrix (Finish). Min
+// is commutative and associative, so the reordered updates produce a
+// byte-identical SignatureMatrix for a fixed seed, regardless of
+// block size, flush size or worker count (asserted by
+// sketch_kernels_test and mine_parallel_test).
 
 #ifndef SANS_SKETCH_SKETCH_KERNELS_H_
 #define SANS_SKETCH_SKETCH_KERNELS_H_
@@ -33,10 +44,9 @@ namespace sans {
 
 class RowBlock;  // matrix/block_reader.h
 
-/// Rows buffered per flush of the blocked kernels. Bounds the hash
-/// scratch at num_hashes * kSketchBlockRows * 8 bytes (200 KiB at
-/// k = 100), small enough to stay cache-resident next to one
-/// signature row.
+/// Non-empty rows buffered per flush of the Min-Hash kernel. Bounds
+/// its hash scratch — one hash-major and one row-major copy — at
+/// 2 * num_hashes * kSketchBlockRows * 8 bytes (400 KiB at k = 100).
 inline constexpr size_t kSketchBlockRows = 256;
 
 /// THE sentinel clamp: hash outputs fed to min-type sketches are
@@ -59,32 +69,43 @@ void HashBlockClamped(const RowHasher& hasher,
                       std::span<const uint64_t> keys,
                       std::vector<uint64_t>* out);
 
-/// Blocked Min-Hash signature updater. Bind it to a bank and a target
-/// matrix, then feed it row blocks; it buffers up to kSketchBlockRows
-/// non-empty rows, batch-hashes their ids under all k functions, and
-/// flushes the min-updates transposed (hash-major). One kernel per
-/// block-pipeline worker (matrix/block_reader.h).
-///
-/// Column spans handed in via Process() are only borrowed while the
-/// call runs; every Process() call drains its own buffer before
-/// returning.
+/// Blocked Min-Hash signature updater over one worker's rows. It owns
+/// a column-major partial of the k x m minima, initialised to
+/// kEmptyMinHash, and updates it by the three-step flush described
+/// above. One kernel per block-pipeline worker
+/// (matrix/block_reader.h); Finish merges them and yields the
+/// signatures.
 class MinHashBlockKernel {
  public:
-  MinHashBlockKernel(const HashFunctionBank* bank,
-                     SignatureMatrix* signatures);
+  MinHashBlockKernel(const HashFunctionBank* bank, ColumnId num_cols);
 
+  /// Buffers the block's non-empty rows (their column lists are
+  /// copied, so the block may die after the call), flushing every
+  /// kSketchBlockRows rows.
   void Process(const RowBlock& block);
 
+  /// Flushes every kernel, lowers kernels[0]'s minima to the
+  /// element-wise min with each later kernel's in index (worker-id)
+  /// order, freeing each partial once merged, and transposes the
+  /// result into the hash-major SignatureMatrix. `kernels` must be
+  /// non-empty and bound to one bank and column count.
+  static SignatureMatrix Finish(std::vector<MinHashBlockKernel> kernels);
+
  private:
-  /// Batch-hashes the buffered keys and applies the transposed
-  /// min-update, then clears the buffer.
+  /// Hashes, transposes and sorts the buffered rows' entries and
+  /// applies them to minima_, then clears the buffer.
   void Flush();
 
   const HashFunctionBank* bank_;
-  SignatureMatrix* signatures_;
-  std::vector<uint64_t> keys_;
-  std::vector<std::span<const ColumnId>> columns_;
-  std::vector<uint64_t> hashes_;  // hash-major: [l * keys_.size() + i]
+  ColumnId num_cols_;
+  size_t num_hashes_;
+  int column_bits_;                  // radix key width of a column id
+  std::vector<uint64_t> minima_;     // column-major: [c * k + l]
+  std::vector<uint64_t> keys_;       // buffered row ids
+  std::vector<uint64_t> entries_;    // column << 32 | row slot in keys_
+  std::vector<uint64_t> sort_scratch_;
+  std::vector<uint64_t> hashes_;     // hash-major: [l * keys_.size() + i]
+  std::vector<uint64_t> row_hashes_; // row-major, clamped: [i * k + l]
 };
 
 }  // namespace sans

@@ -28,6 +28,19 @@ BinaryMatrix TestMatrix() {
   return std::move(d->matrix);
 }
 
+// A sparse, weblog-shaped table wider than 2^11 columns, so the
+// Min-Hash kernel's column sort takes two digit passes.
+BinaryMatrix WideTestMatrix() {
+  WeblogConfig config;
+  config.num_clients = 3'000;
+  config.num_urls = 5'000;
+  config.num_bundles = 40;
+  config.seed = 17;
+  auto d = GenerateWeblog(config);
+  EXPECT_TRUE(d.ok());
+  return std::move(d->matrix);
+}
+
 ExecutionConfig Exec(int threads, int block_rows = 128,
                      int queue_depth = 4) {
   ExecutionConfig config;
@@ -84,30 +97,33 @@ TEST_P(ParallelMinHashTest, MatchesSequentialBitForBit) {
 // with the code under test.
 TEST_P(ParallelMinHashTest, MatchesNaivePerRowLoop) {
   const int threads = GetParam();
-  const BinaryMatrix m = TestMatrix();
-  InMemorySource source(&m);
-  MinHashConfig config;
-  config.num_hashes = 12;
-  config.seed = 31;
+  const BinaryMatrix matrices[] = {TestMatrix(), WideTestMatrix()};
+  for (const BinaryMatrix& m : matrices) {
+    InMemorySource source(&m);
+    MinHashConfig config;
+    config.num_hashes = 12;
+    config.seed = 31;
 
-  auto parallel = WithPool(threads, [&](const auto& exec, ThreadPool* pool) {
-    return ComputeMinHashParallel(source, config, exec, pool);
-  });
-  ASSERT_TRUE(parallel.ok());
+    auto parallel = WithPool(threads, [&](const auto& exec, ThreadPool* pool) {
+      return ComputeMinHashParallel(source, config, exec, pool);
+    });
+    ASSERT_TRUE(parallel.ok());
 
-  const HashFunctionBank bank(config.family, config.num_hashes, config.seed);
-  SignatureMatrix naive(config.num_hashes, m.num_cols());
-  for (RowId r = 0; r < m.num_rows(); ++r) {
-    for (ColumnId c : m.Row(r)) {
-      for (int l = 0; l < config.num_hashes; ++l) {
-        naive.MinUpdate(l, c, ClampRowHash(bank.Hash(l, r)));
+    const HashFunctionBank bank(config.family, config.num_hashes, config.seed);
+    SignatureMatrix naive(config.num_hashes, m.num_cols());
+    for (RowId r = 0; r < m.num_rows(); ++r) {
+      for (ColumnId c : m.Row(r)) {
+        for (int l = 0; l < config.num_hashes; ++l) {
+          naive.MinUpdate(l, c, ClampRowHash(bank.Hash(l, r)));
+        }
       }
     }
-  }
-  for (int l = 0; l < config.num_hashes; ++l) {
-    for (ColumnId c = 0; c < m.num_cols(); ++c) {
-      ASSERT_EQ(parallel->Value(l, c), naive.Value(l, c))
-          << "threads=" << threads << " l=" << l << " c=" << c;
+    for (int l = 0; l < config.num_hashes; ++l) {
+      for (ColumnId c = 0; c < m.num_cols(); ++c) {
+        ASSERT_EQ(parallel->Value(l, c), naive.Value(l, c))
+            << "threads=" << threads << " cols=" << m.num_cols()
+            << " l=" << l << " c=" << c;
+      }
     }
   }
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -178,20 +179,70 @@ BinaryMatrix KernelTestMatrix() {
 class BlockedKernelIdentityTest
     : public ::testing::TestWithParam<HashFamily> {};
 
-TEST_P(BlockedKernelIdentityTest, MinHashMatchesNaiveReference) {
-  const BinaryMatrix m = KernelTestMatrix();
+// A sparse, weblog-shaped matrix: 5,000 columns (13-bit column ids,
+// so the kernel's column sort takes two digit passes) and about four
+// ones per row. Column kUntouchedColumn is in no row.
+constexpr ColumnId kWideCols = 5'000;
+constexpr ColumnId kUntouchedColumn = 4'321;
+
+BinaryMatrix WideKernelTestMatrix() {
+  const RowId num_rows = 3 * kSketchBlockRows + 17;
+  std::vector<std::vector<ColumnId>> rows(num_rows);
+  for (RowId r = 0; r < num_rows; ++r) {
+    for (uint64_t j = 0; j < Mix64(r) % 8; ++j) {
+      const ColumnId c = Mix64(r * 8 + j + 1) % kWideCols;
+      if (c != kUntouchedColumn) rows[r].push_back(c);
+    }
+    std::sort(rows[r].begin(), rows[r].end());
+    rows[r].erase(std::unique(rows[r].begin(), rows[r].end()), rows[r].end());
+  }
+  auto m = BinaryMatrix::FromRows(num_rows, kWideCols, rows);
+  EXPECT_TRUE(m.ok());
+  return std::move(m).value();
+}
+
+// Every entry's column shares its low 11-bit digit (7, 2055 and 4103
+// are 7 mod 2048), so the sort skips its first pass; rows that hit only
+// column 7 give flushes on which both passes are uniform.
+BinaryMatrix SharedDigitKernelTestMatrix() {
+  const RowId num_rows = 2 * kSketchBlockRows + 5;
+  std::vector<std::vector<ColumnId>> rows(num_rows);
+  for (RowId r = 0; r < num_rows; ++r) {
+    if (r < kSketchBlockRows) {
+      rows[r] = {7};
+    } else if (r % 3 != 0) {
+      rows[r] = {7, 2055, 4103};
+    }
+  }
+  auto m = BinaryMatrix::FromRows(num_rows, kWideCols, rows);
+  EXPECT_TRUE(m.ok());
+  return std::move(m).value();
+}
+
+BinaryMatrix EmptyKernelTestMatrix(RowId num_rows, ColumnId num_cols) {
+  auto m = BinaryMatrix::FromRows(
+      num_rows, num_cols, std::vector<std::vector<ColumnId>>(num_rows));
+  EXPECT_TRUE(m.ok());
+  return std::move(m).value();
+}
+
+// Runs MinHashGenerator on `m` and asserts it equals a naive reference:
+// per row, per column, per hash, through the checked MinUpdate, with
+// the clamp applied per value.
+void ExpectMinHashMatchesNaive(const BinaryMatrix& m, int num_hashes,
+                               HashFamily family, const char* label) {
   MinHashConfig config;
-  config.num_hashes = 33;
-  config.family = GetParam();
+  config.num_hashes = num_hashes;
+  config.family = family;
   config.seed = 99;
 
   MinHashGenerator generator(config);
   InMemoryRowStream stream(&m);
   auto blocked = generator.Compute(&stream);
   ASSERT_TRUE(blocked.ok());
+  ASSERT_EQ(blocked->num_hashes(), num_hashes);
+  ASSERT_EQ(blocked->num_cols(), m.num_cols());
 
-  // Naive reference: per row, per column, per hash, through the
-  // checked MinUpdate, with the clamp applied per value.
   HashFunctionBank bank(config.family, config.num_hashes, config.seed);
   SignatureMatrix naive(config.num_hashes, m.num_cols());
   InMemoryRowStream naive_stream(&m);
@@ -209,9 +260,49 @@ TEST_P(BlockedKernelIdentityTest, MinHashMatchesNaiveReference) {
   for (int l = 0; l < config.num_hashes; ++l) {
     for (ColumnId c = 0; c < m.num_cols(); ++c) {
       ASSERT_EQ(blocked->Value(l, c), naive.Value(l, c))
-          << "family=" << HashFamilyToString(config.family) << " l=" << l
+          << label << " k=" << num_hashes
+          << " family=" << HashFamilyToString(config.family) << " l=" << l
           << " c=" << c;
     }
+  }
+}
+
+TEST_P(BlockedKernelIdentityTest, MinHashMatchesNaiveReference) {
+  const HashFamily family = GetParam();
+  const BinaryMatrix narrow = KernelTestMatrix();
+  const BinaryMatrix wide = WideKernelTestMatrix();
+  for (int k : {1, 33, 100}) {
+    ExpectMinHashMatchesNaive(narrow, k, family, "narrow");
+    ExpectMinHashMatchesNaive(wide, k, family, "wide");
+  }
+  ExpectMinHashMatchesNaive(SharedDigitKernelTestMatrix(), 33, family,
+                            "shared-digit");
+  ExpectMinHashMatchesNaive(EmptyKernelTestMatrix(300, 10), 33, family,
+                            "all-empty");
+  ExpectMinHashMatchesNaive(EmptyKernelTestMatrix(5, 0), 33, family,
+                            "zero-column");
+}
+
+TEST_P(BlockedKernelIdentityTest, MinHashLeavesUntouchedColumnsEmpty) {
+  MinHashConfig config;
+  config.num_hashes = 33;
+  config.family = GetParam();
+  MinHashGenerator generator(config);
+  const BinaryMatrix wide = WideKernelTestMatrix();
+  InMemoryRowStream stream(&wide);
+  auto signatures = generator.Compute(&stream);
+  ASSERT_TRUE(signatures.ok());
+  EXPECT_TRUE(signatures->ColumnEmpty(kUntouchedColumn));
+  for (int l = 0; l < config.num_hashes; ++l) {
+    EXPECT_EQ(signatures->Value(l, kUntouchedColumn), kEmptyMinHash);
+  }
+
+  const BinaryMatrix empty = EmptyKernelTestMatrix(300, 10);
+  InMemoryRowStream empty_stream(&empty);
+  auto empty_signatures = generator.Compute(&empty_stream);
+  ASSERT_TRUE(empty_signatures.ok());
+  for (ColumnId c = 0; c < empty.num_cols(); ++c) {
+    EXPECT_TRUE(empty_signatures->ColumnEmpty(c)) << "c=" << c;
   }
 }
 
