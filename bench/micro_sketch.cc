@@ -8,6 +8,9 @@
 // their outputs must be byte-identical; the bench asserts that before
 // it reports a single number.
 //
+// A second signatures phase runs the same pair on a sparse,
+// weblog-shaped table (the phase-1 shape of perfbench's weblog-tall).
+//
 // Emits BENCH_sketch.json with a speedup_vs_reference field per
 // phase. In full mode the signatures phase at k=100 must reach a 2x
 // speedup or the bench exits nonzero (the acceptance gate for the
@@ -24,6 +27,7 @@
 
 #include "bench_common.h"
 #include "data/synthetic_generator.h"
+#include "data/weblog_generator.h"
 #include "matrix/row_stream.h"
 #include "mine/parallel.h"
 #include "sketch/k_min_hash.h"
@@ -202,12 +206,13 @@ int Main(int argc, char** argv) {
 
   const int repetitions = smoke ? 1 : 3;
   std::vector<bench::BenchPhaseResult> results;
-  const auto emit = [&](const char* phase, double seconds, double speedup) {
+  const auto emit = [&](const char* phase, double seconds, double speedup,
+                        RowId rows) {
     bench::BenchPhaseResult r;
     r.phase = phase;
     r.threads = 1;
     r.seconds = seconds;
-    r.rows_per_sec = seconds > 0 ? matrix.num_rows() / seconds : 0.0;
+    r.rows_per_sec = seconds > 0 ? rows / seconds : 0.0;
     r.speedup_key = "speedup_vs_reference";
     r.speedup_vs_1_thread = speedup;
     results.push_back(r);
@@ -233,12 +238,54 @@ int Main(int argc, char** argv) {
   CheckSignaturesIdentical(reference_signatures, blocked_signatures);
   const double mh_speedup =
       blocked_seconds > 0 ? reference_seconds / blocked_seconds : 0.0;
-  emit("signatures_reference", reference_seconds, 1.0);
-  emit("signatures_blocked", blocked_seconds, mh_speedup);
+  emit("signatures_reference", reference_seconds, 1.0, matrix.num_rows());
+  emit("signatures_blocked", blocked_seconds, mh_speedup, matrix.num_rows());
   std::fprintf(stderr,
                "[bench] signatures k=%d: reference %.3fs, blocked %.3fs "
                "(%.2fx), outputs byte-identical\n",
                kNumHashes, reference_seconds, blocked_seconds, mh_speedup);
+
+  // Min-hash signatures on a sparse, weblog-shaped table (about four
+  // ones per row, more than 2^11 columns, so the kernel's column sort
+  // takes two digit passes). Timed and identity-checked, not gated.
+  WeblogConfig weblog;
+  weblog.num_clients = smoke ? 5'000 : 100'000;
+  weblog.num_urls = smoke ? 3'000 : 6'500;
+  weblog.num_bundles = 400;
+  weblog.seed = 1;
+  auto sparse_dataset = GenerateWeblog(weblog);
+  SANS_CHECK(sparse_dataset.ok());
+  const BinaryMatrix& sparse = sparse_dataset->matrix;
+  std::fprintf(stderr,
+               "[bench] sparse table: %u rows x %u cols, %llu ones\n",
+               sparse.num_rows(), sparse.num_cols(),
+               static_cast<unsigned long long>(sparse.num_ones()));
+  double sparse_reference_seconds = 0.0;
+  const SignatureMatrix sparse_reference = TimeBestOf(
+      repetitions, &sparse_reference_seconds,
+      [&] { return ReferenceMinHash(sparse, mh); });
+  double sparse_blocked_seconds = 0.0;
+  const SignatureMatrix sparse_blocked = TimeBestOf(
+      repetitions, &sparse_blocked_seconds, [&] {
+        MinHashGenerator generator(mh);
+        InMemoryRowStream stream(&sparse);
+        auto signatures = generator.Compute(&stream);
+        SANS_CHECK(signatures.ok());
+        return std::move(signatures).value();
+      });
+  CheckSignaturesIdentical(sparse_reference, sparse_blocked);
+  const double sparse_speedup =
+      sparse_blocked_seconds > 0
+          ? sparse_reference_seconds / sparse_blocked_seconds
+          : 0.0;
+  emit("sparse_reference", sparse_reference_seconds, 1.0, sparse.num_rows());
+  emit("sparse_blocked", sparse_blocked_seconds, sparse_speedup,
+       sparse.num_rows());
+  std::fprintf(stderr,
+               "[bench] sparse signatures k=%d: reference %.3fs, blocked "
+               "%.3fs (%.2fx), outputs byte-identical\n",
+               kNumHashes, sparse_reference_seconds, sparse_blocked_seconds,
+               sparse_speedup);
 
   // Bottom-k sketches (single hash per row; the kernel win is the
   // batched clamped hashing, so the margin is smaller — not gated).
@@ -261,8 +308,8 @@ int Main(int argc, char** argv) {
   const double kmh_speedup = kmh_blocked_seconds > 0
                                  ? kmh_reference_seconds / kmh_blocked_seconds
                                  : 0.0;
-  emit("kmh_reference", kmh_reference_seconds, 1.0);
-  emit("kmh_blocked", kmh_blocked_seconds, kmh_speedup);
+  emit("kmh_reference", kmh_reference_seconds, 1.0, matrix.num_rows());
+  emit("kmh_blocked", kmh_blocked_seconds, kmh_speedup, matrix.num_rows());
   std::fprintf(stderr,
                "[bench] kmh k=%d: reference %.3fs, blocked %.3fs (%.2fx), "
                "outputs byte-identical\n",
@@ -274,6 +321,10 @@ int Main(int argc, char** argv) {
       {{"rows", bench::JsonNumber(matrix.num_rows())},
        {"cols", bench::JsonNumber(matrix.num_cols())},
        {"ones", bench::JsonNumber(static_cast<double>(matrix.num_ones()))},
+       {"sparse_rows", bench::JsonNumber(sparse.num_rows())},
+       {"sparse_cols", bench::JsonNumber(sparse.num_cols())},
+       {"sparse_ones",
+        bench::JsonNumber(static_cast<double>(sparse.num_ones()))},
        {"k", bench::JsonNumber(kNumHashes)},
        {"scale", smoke ? "\"smoke\"" : "\"full\""}},
       results);

@@ -5,8 +5,10 @@
 // accumulator — the blocked Min-Hash kernel (sketch_kernels.h) or an
 // IncrementalKMinHashBuilder — into a private partial, and partials
 // are merged deterministically in worker-id order (element-wise min
-// for min-hash signatures, IncrementalKMinHashBuilder::Merge for
-// bottom-k sketches), so every function here returns the same bytes
+// over the kernels' column-major minima in MinHashBlockKernel::Finish,
+// which frees each merged partial and transposes once into the
+// SignatureMatrix; IncrementalKMinHashBuilder::Merge for bottom-k
+// sketches), so every function here returns the same bytes
 // for any thread count, block size, or scheduling. With a null pool or
 // execution.num_threads <= 1 there is one worker, run inline on the
 // calling thread.

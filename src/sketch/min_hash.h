@@ -36,7 +36,10 @@ struct MinHashConfig {
 int RecommendedNumHashes(double delta, double epsilon, double c);
 
 /// Computes the k × m signature matrix in a single pass over `rows`.
-/// Uses O(k·m) memory plus O(k) scratch per row, independent of n.
+/// Uses O(k·m) memory, independent of n: the kernel's column-major
+/// minima, then the k × m result that Finish transposes them into
+/// (both are alive only during that transpose), plus O(k) hash
+/// scratch per buffered row (sketch_kernels.h).
 class MinHashGenerator {
  public:
   explicit MinHashGenerator(const MinHashConfig& config);
